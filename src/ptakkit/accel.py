@@ -4,8 +4,7 @@ The inner loop runs up to millions of iterations over a small 0/1 incidence
 matrix, so it is JIT-compiled with numba when available.  Set
 ``PTAKKIT_NUMBA=0`` to force the pure-numpy fallback (the same source
 functions, interpreted; results are bit-identical), ``PTAKKIT_NUMBA=1`` to
-make a missing numba an error.  ``benchmarks/bench_fictitious_play.py``
-times the two paths against each other.
+make a missing numba an error.
 
 Algorithm: alternating fictitious play with least-played tie-breaking.  Any
 probability weighting certifies a bound (its worst case is evaluated

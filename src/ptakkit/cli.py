@@ -60,28 +60,34 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
+def _load(path: str, reader):
+    """``reader`` applied to the JSON in ``path``; bad content is an InputError."""
+    data = _load_json(path)
+    try:
+        return reader(data)
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_family(path: str):
-    try:
-        return family_from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _load(path, family_from_json_dict)
 
 
-def _load_system(path: str) -> IntervalSystem:
+def _write_json(payload: dict, out: str | None) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
     try:
-        return IntervalSystem.from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def _emit(report: dict, out: str | None) -> None:
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, out)
 
 
 def _default_seed() -> int:
@@ -106,11 +112,7 @@ def cmd_delta(args) -> int:
 
 def cmd_certificate_verify(args) -> int:
     fam = _load_family(args.family)
-    data = _load_json(args.certificate)
-    try:
-        cert = GameValueResult.from_json_dict(data, validate=False)
-    except ValueError as exc:
-        raise InputError(f"{args.certificate}: {exc}") from None
+    cert = _load(args.certificate, lambda d: GameValueResult.from_json_dict(d, validate=False))
     result = verify_certificate(fam, cert)
     report = {
         "command": "certificate-verify",
@@ -127,8 +129,8 @@ def cmd_certificate_verify(args) -> int:
 
 def cmd_norm(args) -> int:
     fam = _load_family(args.family)
+    vec = _load(args.vector, FamilyVector.from_json_dict)
     try:
-        vec = FamilyVector.from_json_dict(_load_json(args.vector))
         rep = check_equivalence(fam, vec)
     except ValueError as exc:
         raise InputError(f"{args.vector}: {exc}") from None
@@ -180,7 +182,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_interval_bound(args) -> int:
-    system = _load_system(args.system)
+    system = _load(args.system, IntervalSystem.from_json_dict)
     rep = measure_lower_bound(system)
     report = {
         "command": "interval-bound",
@@ -256,12 +258,7 @@ def cmd_gen(args) -> int:
         print(f"ptakkit gen: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload["provenance"] = provenance
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, args.out)
     return EXIT_OK
 
 

@@ -47,6 +47,30 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _containers(masks: Sequence[int]) -> dict[int, int]:
+    """For each mask lying inside another, the index of one mask containing it.
+
+    The masks must be distinct.  Distinct sets nest only in sets with more
+    elements, so each mask is compared only with the larger masks that are
+    not themselves inside another; masks of one size cost no comparisons.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(masks):
+        by_size.setdefault(m.bit_count(), []).append(i)
+    inside: dict[int, int] = {}
+    larger: list[tuple[int, int]] = []
+    for size in sorted(by_size, reverse=True):
+        group = by_size[size]
+        for i in group:
+            a = masks[i]
+            for j, b in larger:
+                if a & b == a:
+                    inside[i] = j
+                    break
+        larger.extend((i, masks[i]) for i in group if i not in inside)
+    return inside
+
+
 @dataclass(frozen=True)
 class HereditaryFamily:
     """Canonical antichain representation of a downward-closed family.
@@ -72,14 +96,14 @@ class HereditaryFamily:
             if s[0] < 0 or s[-1] >= self.n:
                 raise ValueError(f"label out of range: {s}")
             masks.append(set_mask(s))
-        if list(self.maximal) != sorted(self.maximal):
-            raise ValueError("maximal sets not in lexicographic order")
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & ~b == 0:
-                    raise ValueError(
-                        f"not an antichain: {self.maximal[i]} within {self.maximal[j]}"
-                    )
+        if any(a >= b for a, b in zip(self.maximal, self.maximal[1:])):
+            raise ValueError("maximal sets not in strictly increasing lexicographic order")
+        inside = _containers(masks)
+        if inside:
+            i = min(inside)
+            raise ValueError(
+                f"not an antichain: {self.maximal[i]} within {self.maximal[inside[i]]}"
+            )
         object.__setattr__(self, "masks", tuple(masks))
 
     @property
@@ -98,12 +122,10 @@ def hereditary_closure(sets: Iterable[ElementSet], n: int) -> HereditaryFamily:
     normalized = {normalize_set(s, n) for s in sets}
     normalized.discard(())
     items = sorted(normalized)
-    masks = [set_mask(s) for s in items]
-    keep = [
-        items[i] for i, a in enumerate(masks)
-        if not any(a != b and a & ~b == 0 for b in masks)
-    ]
-    return HereditaryFamily(n=n, maximal=tuple(keep))
+    inside = _containers([set_mask(s) for s in items])
+    return HereditaryFamily(
+        n=n, maximal=tuple(s for i, s in enumerate(items) if i not in inside)
+    )
 
 
 def membership(fam: HereditaryFamily, members: ElementSet) -> bool:
@@ -224,6 +246,8 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilySpec":
+        if not isinstance(d, dict):
+            raise ValueError("spec must be a JSON object")
         kind = d.get("kind")
         if kind not in cls.KINDS:
             raise ValueError(f"spec field 'kind': unknown kind {kind!r}")
@@ -233,14 +257,31 @@ class FamilySpec:
             if "system" not in d:
                 raise ValueError("spec field 'system' missing for interval_trace")
             return cls(kind=kind, system=IntervalSystem.from_json_dict(d["system"]))
-        try:
-            n = int(d["n"])
-        except KeyError:
-            raise ValueError("spec field 'n' missing") from None
-        k = int(d["k"]) if "k" in d else None
-        edges = tuple(tuple(int(v) for v in e) for e in d["edges"]) if "edges" in d else None
-        sets = tuple(tuple(int(v) for v in s) for s in d["sets"]) if "sets" in d else None
+        if "n" not in d:
+            raise ValueError("spec field 'n' missing")
+        n = _json_int(d["n"], "spec field 'n'")
+        k = _json_int(d["k"], "spec field 'k'") if "k" in d else None
+        edges = _json_int_rows(d["edges"], "spec field 'edges'") if "edges" in d else None
+        if edges is not None and any(len(e) != 2 for e in edges):
+            raise ValueError("spec field 'edges': every edge needs exactly two ends")
+        sets = _json_int_rows(d["sets"], "spec field 'sets'") if "sets" in d else None
         return cls(kind=kind, n=n, k=k, edges=edges, sets=sets)
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` itself if it is a JSON integer; floats, bools and strings
+    are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of integer lists, checked entry by entry."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{name} must be a list of integer lists")
+    return tuple(tuple(_json_int(v, f"{name}[{i}] entry") for v in r)
+                 for i, r in enumerate(rows))
 
 
 def _validated_edges(edges: Sequence[Sequence[int]], n: int) -> list[tuple[int, int]]:
@@ -371,7 +412,8 @@ def family_from_json_dict(data: dict) -> HereditaryFamily:
     if "maximal" in data:
         if "n" not in data:
             raise ValueError("family field 'n' missing")
-        return hereditary_closure(data["maximal"], int(data["n"]))
+        n = _json_int(data["n"], "family field 'n'")
+        return hereditary_closure(_json_int_rows(data["maximal"], "family field 'maximal'"), n)
     if "spec" in data:
         return realize(FamilySpec.from_json_dict(data["spec"]))
     raise ValueError("family file needs either 'maximal' or 'spec'")

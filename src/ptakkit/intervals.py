@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .families import HereditaryFamily, hereditary_closure
+from .families import HereditaryFamily, hereditary_closure, membership
 from .rationals import ONE, ZERO, as_fraction, format_rational
 
 
@@ -215,7 +215,7 @@ def helly_check(sys: IntervalSystem) -> bool:
     fam = trace_family(sys)
     for mask in range(1 << n):
         labels = [s for s in range(n) if (mask >> s) & 1]
-        member = any(all((m >> s) & 1 for s in labels) for m in fam.masks) or not labels
+        member = membership(fam, labels)
         pairwise = all(pair_ok(i, j) for a, i in enumerate(labels) for j in labels[a + 1:])
         if member != pairwise:
             return False

@@ -26,7 +26,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

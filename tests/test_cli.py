@@ -220,3 +220,45 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["delta"])  # missing --family
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"n": 3, "maximal": [[0.7, 1], [2]]}, "'maximal'"),
+    ({"n": True, "maximal": [[0]]}, "'n'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 5, "k": 2.7}}, "'k'"),
+    ({"spec": {"kind": "graph_cliques", "n": 4, "edges": [[0, "1"]]}}, "'edges'"),
+])
+def test_non_integer_family_field_exit_2(tmp_path, capsys, payload, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "delta", "--family", str(bad))
+    assert rc == 2 and out == ""
+    assert field in err and "integer" in err
+
+
+@pytest.mark.parametrize("coord", [0.5, "1/0"])
+def test_bad_rational_in_vector_exit_2(family_file, tmp_path, capsys, coord):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"coords": [coord, "1/1", "1/1", "1/1", "1/1"]}))
+    rc, _, err = run(capsys, "norm", "--family", str(family_file), "--vector", str(vec))
+    assert rc == 2 and str(vec) in err and str(coord) in err
+
+
+def test_float_in_certificate_exit_2(family_file, tmp_path, capsys):
+    _, out, _ = run(capsys, "delta", "--family", str(family_file))
+    payload = report_of(out)["certificate"]
+    payload["delta"] = 0.4
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, "certificate-verify", "--family", str(family_file),
+                     "--certificate", str(cert))
+    assert rc == 2 and str(cert) in err and "0.4" in err
+
+
+@pytest.mark.parametrize("command", ["delta", "gen"])
+def test_unwritable_out_exit_2(family_file, tmp_path, capsys, command):
+    argv = {"delta": ["delta", "--family", str(family_file)],
+            "gen": ["gen", "--kind", "cardinality", "--n", "4", "--k", "2"]}[command]
+    target = tmp_path / "missing" / "x.json"
+    rc, _, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2 and str(target) in err

@@ -99,6 +99,14 @@ def test_direct_construction_rejects_non_canonical():
         HereditaryFamily(n=3, maximal=((1, 0),))  # not ascending
     with pytest.raises(ValueError):
         HereditaryFamily(n=0, maximal=())
+    with pytest.raises(ValueError, match="order"):
+        HereditaryFamily(n=3, maximal=((0, 2), (0, 2)))  # duplicated set
+    with pytest.raises(ValueError, match="order"):
+        HereditaryFamily(n=3, maximal=((1, 2), (0, 2)))  # not lexicographic
+    with pytest.raises(ValueError, match=r"\(0, 1\) within \(0, 1, 2\)"):
+        HereditaryFamily(n=3, maximal=((0, 1), (0, 1, 2)))  # container sorts after
+    with pytest.raises(ValueError, match=r"\(64, 70\) within \(3, 64, 70\)"):
+        HereditaryFamily(n=80, maximal=((3, 64, 70), (64, 70)))  # masks beyond 64 bits
 
 
 # --- membership and hereditarity ---------------------------------------------
