@@ -33,7 +33,7 @@ from .game import GameValueResult, delta_exact, fictitious_play, verify_certific
 from .intervals import IntervalSystem, measure_lower_bound, random_system
 from .norms import FamilyVector, check_equivalence
 from .rationals import format_rational, parse_rational
-from .search import max_member, ptak_bound_check
+from .search import BoundReport, max_member
 from .suite import run_suite
 
 EXIT_OK = 0
@@ -150,7 +150,8 @@ def cmd_norm(args) -> int:
 def cmd_search(args) -> int:
     fam = _load_family(args.family)
     res = max_member(fam, budget=args.budget)
-    bound = ptak_bound_check(fam)
+    best = res if res.optimal else max_member(fam)
+    bound = BoundReport(delta_exact(fam).delta, fam.n, best.size)
     report = {
         "command": "search",
         "inputs": {args.family: _digest(args.family)},

@@ -114,6 +114,8 @@ class GameValueResult:
         for key in ("delta", "primal", "dual"):
             if key not in d:
                 raise ValueError(f"certificate field {key!r} missing")
+            if key != "delta" and not isinstance(d[key], dict):
+                raise ValueError(f"certificate field {key!r} must be an object")
         return cls(
             delta=as_fraction(d["delta"]),
             primal=ConvexMean.from_json_dict(d["primal"], validate=validate),

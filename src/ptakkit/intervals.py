@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .families import HereditaryFamily, hereditary_closure, membership
+from .families import HereditaryFamily, _json_int, hereditary_closure, membership
 from .rationals import ONE, ZERO, as_fraction, format_rational
 
 
@@ -96,7 +96,10 @@ class IntervalSet:
 
     @classmethod
     def from_json_list(cls, data: Sequence) -> "IntervalSet":
-        return cls.from_pieces([(as_fraction(p[0]), as_fraction(p[1])) for p in data])
+        for p in data:
+            if not isinstance(p, list) or len(p) != 2:
+                raise ValueError(f"piece {p!r} must be a list of two endpoints")
+        return cls.from_pieces(data)
 
 
 def measure(c: IntervalSet) -> Fraction:
@@ -125,8 +128,10 @@ class IntervalSystem:
     def from_json_dict(cls, d: dict) -> "IntervalSystem":
         if "sets" not in d:
             raise ValueError("system field 'sets' missing")
+        if not isinstance(d["sets"], list) or not all(isinstance(s, list) for s in d["sets"]):
+            raise ValueError("system field 'sets' must be a list of piece lists")
         sets = tuple(IntervalSet.from_json_list(s) for s in d["sets"])
-        if "n" in d and int(d["n"]) != len(sets):
+        if "n" in d and _json_int(d["n"], "system field 'n'") != len(sets):
             raise ValueError("system field 'n' disagrees with number of sets")
         return cls(sets)
 

@@ -41,6 +41,8 @@ class FamilyVector:
     def from_json_dict(cls, d: dict) -> "FamilyVector":
         if "coords" not in d:
             raise ValueError("vector field 'coords' missing")
+        if not isinstance(d["coords"], list):
+            raise ValueError("vector field 'coords' must be a list")
         return cls(tuple(d["coords"]))
 
 
@@ -123,8 +125,8 @@ def min_ratio_nonneg(fam: HereditaryFamily) -> Fraction:
     """Minimum of fnorm(x)/l1(x) over nonzero x >= 0.
 
     By homogeneity this is a minimum over the probability simplex, solved
-    here as a direct two-phase LP (a code path separate from the game-form
-    solver) and asserted equal to the exact game value.
+    here as a direct two-phase LP.  It equals the game value delta; the
+    callers that rely on the equality check it themselves.
     """
     n = fam.n
     # variables: x_0..x_{n-1}, t ; minimize t
@@ -137,13 +139,7 @@ def min_ratio_nonneg(fam: HereditaryFamily) -> Fraction:
         row[n] = -ONE
         constraints.append((row, "<=", ZERO))
     constraints.append(([ONE] * n + [ZERO], "==", ONE))
-    value = solve_min_general(c, constraints).objective
-    expected = delta_exact(fam).delta
-    if value != expected:
-        raise RuntimeError(
-            f"simplex disagreement: direct LP {value} vs game value {expected}"
-        )
-    return value
+    return solve_min_general(c, constraints).objective
 
 
 @dataclass(frozen=True)

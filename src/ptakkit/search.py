@@ -81,9 +81,15 @@ def greedy_member(fam: HereditaryFamily, order: Sequence[int]) -> tuple[int, ...
 class BoundReport:
     delta: Fraction
     n: int
-    bound: int
     achieved: int
-    ok: bool
+
+    @property
+    def bound(self) -> int:
+        return math.ceil(self.delta * self.n)
+
+    @property
+    def ok(self) -> bool:
+        return self.achieved >= self.bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,8 +106,4 @@ def ptak_bound_check(fam: HereditaryFamily) -> BoundReport:
     of weight at least delta, hence of cardinality at least ceil(delta * n).
     A failure would indicate an implementation bug, never valid data.
     """
-    delta = delta_exact(fam).delta
-    bound = math.ceil(delta * fam.n)
-    achieved = max_member(fam).size
-    return BoundReport(delta=delta, n=fam.n, bound=bound, achieved=achieved,
-                       ok=achieved >= bound)
+    return BoundReport(delta_exact(fam).delta, fam.n, max_member(fam).size)

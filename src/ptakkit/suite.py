@@ -30,7 +30,7 @@ from .game import (
 from .intervals import helly_check, measure_lower_bound, random_system, direct_intersection, trace_family
 from .norms import f_norm, l1_norm, min_ratio_nonneg
 from .rationals import format_rational
-from .search import greedy_member, max_member, ptak_bound_check
+from .search import BoundReport, greedy_member, max_member
 
 
 def _check(results: dict, name: str, cases: int, failures: list) -> None:
@@ -88,13 +88,14 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
     _check(checks, "oracle_bracket", len(fams), failures)
 
     failures = []
-    for i, f in enumerate(fams):
-        rep = ptak_bound_check(f)
+    for i, (f, r) in enumerate(zip(fams, values)):
+        best = max_member(f)
+        rep = BoundReport(r.delta, f.n, best.size)
         if not rep.ok:
             failures.append((i, rep.bound, rep.achieved))
         order = list(range(f.n))
         vec_rng.shuffle(order)
-        if len(greedy_member(f, order)) > max_member(f).size:
+        if len(greedy_member(f, order)) > best.size:
             failures.append((i, "greedy-exceeds-max"))
     _check(checks, "size_guarantee", len(fams), failures)
 

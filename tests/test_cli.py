@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import ptakkit.cli
+import ptakkit.search
 from ptakkit.cli import main
 from ptakkit.families import family_from_json_dict
 from ptakkit.intervals import IntervalSystem
@@ -143,6 +145,25 @@ def test_search_command(family_file, capsys):
     assert rep["bound_check"]["ok"] is True
 
 
+def test_search_command_searches_once(family_file, capsys, count_calls):
+    calls = count_calls("max_member", [ptakkit.search, ptakkit.cli])
+    rc, out, _ = run(capsys, "search", "--family", str(family_file))
+    assert rc == 0 and report_of(out)["size"] == 2
+    assert len(calls) == 1
+
+
+def test_search_truncated_by_budget_checks_bound_on_full_search(tmp_path, capsys):
+    fam = tmp_path / "c5.json"
+    run(capsys, "gen", "--kind", "cycle-cliques", "--n", "5", "--out", str(fam))
+    rc, out, _ = run(capsys, "search", "--family", str(fam), "--budget", "1")
+    assert rc == 0
+    rep = report_of(out)
+    assert rep["best"] == [] and rep["size"] == 0 and rep["nodes_explored"] == 1
+    assert rep["optimal"] is False
+    assert rep["bound_check"] == {"delta": "2/5", "n": 5, "bound": 2, "achieved": 2,
+                                  "ok": True}
+
+
 def test_trace_command(family_file, capsys):
     rc, out, _ = run(capsys, "trace", "--family", str(family_file), "--subset", "0,2,4")
     assert rc == 0
@@ -262,3 +283,42 @@ def test_unwritable_out_exit_2(family_file, tmp_path, capsys, command):
     target = tmp_path / "missing" / "x.json"
     rc, _, err = run(capsys, *argv, "--out", str(target))
     assert rc == 2 and str(target) in err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"n": 1.5, "sets": [[["0/1", "1/2"]]]}, "'n'"),
+    ({"sets": [[["0/1"]]]}, "['0/1']"),
+    ({"sets": [[["0/1", "1/4", "1/2"]]]}, "['0/1', '1/4', '1/2']"),
+    ({"sets": [["0/1", "1/2"]]}, "'0/1'"),
+    ({"sets": ["0/1"]}, "'sets'"),
+    ({"sets": 3}, "'sets'"),
+])
+def test_malformed_interval_system_exit_2(tmp_path, capsys, payload, field):
+    bad = tmp_path / "sys.json"
+    bad.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "interval-bound", "--system", str(bad))
+    assert rc == 2 and out == ""
+    assert str(bad) in err and field in err
+
+
+@pytest.mark.parametrize("key, value", [("primal", [1]), ("dual", "1/1")])
+def test_non_object_certificate_field_exit_2(family_file, tmp_path, capsys, key, value):
+    _, out, _ = run(capsys, "delta", "--family", str(family_file))
+    payload = report_of(out)["certificate"]
+    payload[key] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "certificate-verify", "--family", str(family_file),
+                       "--certificate", str(cert))
+    assert rc == 2 and out == ""
+    assert str(cert) in err and repr(key) in err
+
+
+def test_string_coords_in_vector_exit_2(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 2, "maximal": [[0, 1]]}))
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"coords": "12"}))
+    rc, out, err = run(capsys, "norm", "--family", str(fam), "--vector", str(vec))
+    assert rc == 2 and out == ""
+    assert str(vec) in err and "'coords'" in err

@@ -169,6 +169,15 @@ def test_min_ratio_examples():
     assert min_ratio_nonneg(hereditary_closure([], 2)) == 0
 
 
+def test_min_ratio_does_not_call_the_game_solver(monkeypatch):
+    def refuse(fam):
+        raise AssertionError("min_ratio_nonneg must not solve the game")
+
+    monkeypatch.setattr("ptakkit.norms.delta_exact", refuse)
+    assert min_ratio_nonneg(cardinality_bound_family(5, 2)) == F(2, 5)
+    assert min_ratio_nonneg(maximal_cliques(5, cycle_edges(5))) == F(2, 5)
+
+
 def test_min_ratio_equals_game_value_on_sample(corpus, corpus_values):
     for fam, res in list(zip(corpus, corpus_values))[:30]:
         assert min_ratio_nonneg(fam) == res.delta

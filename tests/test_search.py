@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import ptakkit.game
+import ptakkit.norms
+import ptakkit.search
+import ptakkit.suite
 from ptakkit.families import (
     cardinality_bound_family,
     cycle_edges,
@@ -14,7 +18,8 @@ from ptakkit.families import (
     trace,
 )
 from ptakkit.game import ConvexMean, best_response
-from ptakkit.search import greedy_member, max_member, ptak_bound_check
+from ptakkit.search import BoundReport, greedy_member, max_member, ptak_bound_check
+from ptakkit.suite import run_suite
 
 F = Fraction
 
@@ -129,6 +134,24 @@ def test_bound_check_full_powerset():
 def test_bound_check_disjoint_singletons():
     rep = ptak_bound_check(hereditary_closure([{0}, {1}, {2}], 3))
     assert rep.delta == F(1, 3) and rep.bound == 1 and rep.achieved == 1 and rep.ok
+
+
+def test_bound_report_derives_bound_and_ok():
+    rep = BoundReport(F(2, 5), 7, 2)
+    assert rep.bound == 3 and not rep.ok
+    assert rep.to_json_dict() == {"delta": "2/5", "n": 7, "bound": 3, "achieved": 2,
+                                  "ok": False}
+
+
+def test_run_suite_solves_and_searches_each_family_once(count_calls):
+    # intervals imports delta_exact from game when it is called
+    solves = count_calls("delta_exact",
+                         [ptakkit.game, ptakkit.suite, ptakkit.search, ptakkit.norms])
+    searches = count_calls("max_member", [ptakkit.search, ptakkit.suite])
+    rep = run_suite(3, n=5, families=4, systems=2, vectors=2, fp_iters=5000)
+    assert rep["all_pass"]
+    assert len(solves) == 4 + 2
+    assert len(searches) == 4
 
 
 def test_bound_holds_on_corpus_sample(corpus):
