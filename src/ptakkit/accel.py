@@ -1,11 +1,5 @@
 """Hot numeric kernel for the iterative best-response oracle.
 
-The inner loop runs up to millions of iterations over a small 0/1 incidence
-matrix, so it is JIT-compiled with numba when available.  Set
-``PTAKKIT_NUMBA=0`` to force the pure-numpy fallback (the same source
-functions, interpreted; results are bit-identical), ``PTAKKIT_NUMBA=1`` to
-make a missing numba an error.
-
 Algorithm: alternating fictitious play with least-played tie-breaking.  Any
 probability weighting certifies a bound (its worst case is evaluated
 exactly), so the kernel keeps the best bound seen from (a) the running
@@ -16,6 +10,23 @@ so a snapped average typically hits one exactly and the bracket collapses
 to zero width.  All bookkeeping is int64; the returned bounds are exact
 integer fractions and only the stopping test uses floats (with a safety
 margin; the caller re-checks exactly).
+
+The play loop keeps one tie key per strategy, ``pay * big - count`` for
+rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
+count.  A single ``argmax``/``argmin`` then picks the best-paying, least-
+played, lowest-index strategy, and the key's high digits are the payoff
+bound, so an iteration adds one precomputed ``big * M`` row to each key
+vector and reads everything else off the keys.  The counts are the keys'
+low digits and are recovered only at checkpoints.
+
+``fp_bracket`` alternates between two parts.  A play segment runs up to the
+next checkpoint (or ``max_iters``); it is JIT-compiled with numba when
+available and otherwise runs from the same source.  A checkpoint snaps each
+player's counts for a block of ``q`` values at once (floor, stable argsort
+ranks for the remainders, one int64 matmul) and is always numpy, since
+``njit`` cannot sort along an axis.  Set ``PTAKKIT_NUMBA=0`` to force the
+numpy fallback (results are bit-identical), ``PTAKKIT_NUMBA=1`` to make a
+missing numba an error.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import numpy as np
 
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
+_SNAP_BLOCK = 16  # q values per checkpoint matmul; larger blocks cost peak memory
 
 _env = os.environ.get("PTAKKIT_NUMBA", "auto").strip().lower()
 _want_numba = _env not in ("0", "false", "no", "off")
@@ -42,100 +54,101 @@ if _want_numba:
         HAS_NUMBA = False
 
 
-def _snap_bound_impl(counts, k, q, cols, out, snapped, is_lower):
-    """Exact bound certified by rounding ``counts/k`` to denominator ``q``.
+def snapped_counts(counts, k, qs):
+    """Round ``counts/k`` to denominator ``q`` for each ``q`` in ``qs``.
 
-    Largest-remainder apportionment (stable ties) keeps the weights summing
-    to exactly q.  ``cols[:, i]`` holds player i's payoff column; the bound
-    is the snapped strategy's exact worst case, as (numerator, q).
+    Row ``t`` holds largest-remainder weights summing to exactly ``qs[t]``:
+    floors first, then one more for the ``deficit`` largest remainders, ties
+    going to the lower index.
     """
-    size = counts.shape[0]
-    total = np.int64(0)
-    for i in range(size):
-        w = counts[i] * q // k
-        snapped[i] = w
-        total += w
-    deficit = q - total
-    if deficit > 0:
-        rem = counts * q - snapped[:size] * k
-        order = np.argsort(-rem, kind="mergesort")
-        for t in range(deficit):
-            snapped[order[t]] += 1
-    out[:] = 0
-    for i in range(size):
-        w = snapped[i]
-        if w > 0:
-            out += w * cols[:, i]
-    if is_lower:
-        return np.min(out), np.int64(q)
-    return np.max(out), np.int64(q)
+    scaled = counts[None, :] * qs[:, None]
+    snapped = scaled // k
+    deficit = qs - snapped.sum(axis=1)
+    order = np.argsort(snapped * k - scaled, axis=1, kind="stable")
+    rows = np.arange(len(qs))[:, None]
+    snapped[rows, order] += np.arange(counts.shape[0]) < deficit[:, None]
+    return snapped
+
+
+def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d):
+    """Fold the snapped strategies' exact worst cases into the best bound.
+
+    ``pay`` maps the player's weights to the opponent's payoffs (``M`` for
+    the row player, ``M.T`` for the column player); each snap to ``q``
+    certifies ``min`` (lower) or ``max`` (upper) of them over ``q``.
+    """
+    sign = 1 if is_lower else -1  # a lower bound improves upwards
+    for q0 in range(1, SNAP_QMAX + 1, _SNAP_BLOCK):
+        qs = np.arange(q0, min(q0 + _SNAP_BLOCK, SNAP_QMAX + 1), dtype=np.int64)
+        out = snapped_counts(counts, k, qs) @ pay
+        nums = out.min(axis=1) if is_lower else out.max(axis=1)
+        for q, num in zip(qs.tolist(), nums.tolist()):
+            if sign * (num * best_d - best_n * q) > 0:
+                best_n, best_d = num, q
+    return best_n, best_d
+
+
+def _play_impl(bigM, bigMT, big, row_key, col_key, i, k, stop,
+               low_n, low_d, up_n, up_d, margin):
+    """Play iterations ``k+1 .. stop`` unless the bracket closes first.
+
+    Returns the next row choice, the last iteration, the running best
+    bounds and whether the width test fired.
+    """
+    while k < stop:
+        k += 1
+        row_key[i] -= 1
+        col_key += bigM[i]
+        j = col_key.argmin()  # least pay, least played, lowest index
+        col_key[j] += 1
+        row_key += bigMT[j]
+        i = row_key.argmax()  # best pay, least played, lowest index
+        lo = col_key[j] // big
+        up = -(-row_key[i] // big)
+        # cross-multiplied comparisons keep the running bests exact
+        if up * up_d < up_n * k:
+            up_n, up_d = up, k
+        if lo * low_d > low_n * k:
+            low_n, low_d = lo, k
+        if up_n / up_d - low_n / low_d <= margin:
+            return i, k, low_n, low_d, up_n, up_d, True
+    return i, k, low_n, low_d, up_n, up_d, False
 
 
 if HAS_NUMBA:
-    _snap_bound = njit(cache=True)(_snap_bound_impl)
+    _play = njit(cache=True)(_play_impl)
 else:
-    _snap_bound = _snap_bound_impl
+    _play = _play_impl
 
 
-def _fp_bracket_impl(M, max_iters, eps):
+def fp_bracket(M, max_iters, eps):
     """Bracket the game value of incidence matrix ``M``.
 
     Row player (maximal sets) maximizes, column player (labels) minimizes.
     Returns ``(low_num, low_den, up_num, up_den, iterations)`` with the
     bounds as exact integer fractions.
     """
-    m, n = M.shape
-    MT = M.T.copy()
-    row_pay = np.zeros(m, np.int64)  # M @ col_counts
-    col_pay = np.zeros(n, np.int64)  # M.T @ row_counts
-    row_cnt = np.zeros(m, np.int64)
-    col_cnt = np.zeros(n, np.int64)
-    snap_scratch = np.zeros(max(m, n), np.int64)
-    cover = np.zeros(n, np.int64)
-    member = np.zeros(m, np.int64)
-    best_low_n = np.int64(0)
-    best_low_d = np.int64(1)
-    best_up_n = np.int64(1)
-    best_up_d = np.int64(1)
-    big = np.int64(max_iters) + 1  # dominates any play count in the tie key
+    big = int(max_iters) + 1  # dominates any play count in the tie keys
+    bigM = M * big
+    bigMT = np.ascontiguousarray(bigM.T)
+    row_key = np.zeros(M.shape[0], np.int64)  # row_pay * big - row_cnt
+    col_key = np.zeros(M.shape[1], np.int64)  # col_pay * big + col_cnt
+    low_n, low_d, up_n, up_d = 0, 1, 1, 1
     margin = eps * (1.0 - 1e-9)
-    next_cp = np.int64(_CHECKPOINT_START)
-    k = np.int64(0)
+    next_cp = _CHECKPOINT_START
+    i, k = 0, 0
     while k < max_iters:
-        k += 1
-        i = np.argmax(row_pay * big - row_cnt)  # best pay, least played, lowest index
-        row_cnt[i] += 1
-        col_pay += MT[:, i]
-        j = np.argmin(col_pay * big + col_cnt)
-        col_cnt[j] += 1
-        row_pay += M[:, j]
-        low_n = col_pay[j]
-        up_n = np.max(row_pay)
-        # cross-multiplied comparisons keep the running bests exact
-        if up_n * best_up_d < best_up_n * k:
-            best_up_n, best_up_d = up_n, k
-        if low_n * best_low_d > best_low_n * k:
-            best_low_n, best_low_d = low_n, k
-        if best_up_n / best_up_d - best_low_n / best_low_d <= margin:
+        i, k, low_n, low_d, up_n, up_d, closed = _play(
+            bigM, bigMT, big, row_key, col_key, i, k, min(next_cp, max_iters),
+            low_n, low_d, up_n, up_d, margin)
+        if closed:
             break
-        if k == next_cp or k == max_iters:
-            next_cp *= 2
-            for q in range(1, SNAP_QMAX + 1):
-                low_n, low_d = _snap_bound(row_cnt, k, q, MT, cover, snap_scratch, True)
-                if low_n * best_low_d > best_low_n * low_d:
-                    best_low_n, best_low_d = low_n, low_d
-                up_n, up_d = _snap_bound(col_cnt, k, q, M, member, snap_scratch, False)
-                if up_n * best_up_d < best_up_n * up_d:
-                    best_up_n, best_up_d = up_n, up_d
-            if best_up_n / best_up_d - best_low_n / best_low_d <= margin:
-                break
-    return best_low_n, best_low_d, best_up_n, best_up_d, k
-
-
-if HAS_NUMBA:
-    fp_bracket = njit(cache=True)(_fp_bracket_impl)
-else:
-    fp_bracket = _fp_bracket_impl
+        next_cp *= 2
+        low_n, low_d = _snap_checkpoint(-row_key % big, k, M, True, low_n, low_d)
+        up_n, up_d = _snap_checkpoint(col_key % big, k, M.T, False, up_n, up_d)
+        if up_n / up_d - low_n / low_d <= margin:
+            break
+    return low_n, low_d, up_n, up_d, k
 
 
 def backend_name() -> str:

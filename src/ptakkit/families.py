@@ -13,12 +13,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 Label = int
 ElementSet = Iterable[Label]
 
 GENERATOR_ALGORITHM = "python-random-mt19937-v1"
+
+# Most sets an exhaustive generator or enumerator will list; larger inputs
+# are refused rather than left to run for hours.
+ENUMERATION_LIMIT = 1 << 20
+
+
+def _check_enumeration(count: int, what: str) -> None:
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(f"{what} would enumerate {count} sets, "
+                         f"above the limit of {ENUMERATION_LIMIT}")
 
 
 def normalize_set(members: ElementSet, n: int) -> tuple[int, ...]:
@@ -180,10 +191,10 @@ def maximal_up_set(fam: HereditaryFamily, members: ElementSet) -> list[tuple[int
     if not membership(fam, m):
         raise ValueError(f"{m} is not a member of the family")
     mmask = set_mask(m)
+    above = [fmask for fmask in fam.masks if not mmask & ~fmask]
+    _check_enumeration(sum(1 << (f & ~mmask).bit_count() for f in above), "maximal_up_set")
     found = set()
-    for fmask in fam.masks:
-        if mmask & ~fmask:
-            continue
+    for fmask in above:
         rest = mask_to_tuple(fmask & ~mmask)
         for r in range(len(rest) + 1):
             for extra in combinations(rest, r):
@@ -201,6 +212,7 @@ def all_members(fam: HereditaryFamily) -> list[tuple[int, ...]]:
 
     Exponential in member sizes; intended for desk-scale ground sets.
     """
+    _check_enumeration(sum(1 << len(s) for s in fam.maximal), "all_members")
     found = {()}
     for s in fam.maximal:
         for r in range(1, len(s) + 1):
@@ -345,6 +357,7 @@ def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:
     """All subsets of size at most k: maximal sets are the k-subsets."""
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_enumeration(comb(n, k), f"cardinality family C({n}, {k})")
     return hereditary_closure(combinations(range(n), k), n)
 
 

@@ -111,6 +111,8 @@ class GameValueResult:
 
     @classmethod
     def from_json_dict(cls, d: Mapping, validate: bool = True) -> "GameValueResult":
+        if not isinstance(d, dict):
+            raise ValueError("certificate file must contain a JSON object")
         for key in ("delta", "primal", "dual"):
             if key not in d:
                 raise ValueError(f"certificate field {key!r} missing")

@@ -126,6 +126,8 @@ class IntervalSystem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntervalSystem":
+        if not isinstance(d, dict):
+            raise ValueError("interval system file must contain a JSON object")
         if "sets" not in d:
             raise ValueError("system field 'sets' missing")
         if not isinstance(d["sets"], list) or not all(isinstance(s, list) for s in d["sets"]):

@@ -39,6 +39,8 @@ class FamilyVector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilyVector":
+        if not isinstance(d, dict):
+            raise ValueError("vector file must contain a JSON object")
         if "coords" not in d:
             raise ValueError("vector field 'coords' missing")
         if not isinstance(d["coords"], list):

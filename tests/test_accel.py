@@ -1,9 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from ptakkit import accel
+from ptakkit.families import cardinality_bound_family, random_family
+from ptakkit.game import fictitious_play
 
 WORKER = """
 import json, sys
@@ -37,11 +44,6 @@ def test_env_flag_selects_backend_and_results_match():
 
 def test_inprocess_backend_matches_numpy_subprocess():
     plain = run_with_backend("0")
-    from fractions import Fraction
-
-    from ptakkit.families import random_family
-    from ptakkit.game import fictitious_play
-
     for seed, expected in zip(range(8), plain["runs"]):
         fam = random_family(seed, n=None, max_sets=25)
         r = fictitious_play(fam, 50000, Fraction(1, 10**6))
@@ -52,3 +54,80 @@ def test_backend_name_reports_selection():
     assert accel.backend_name() in ("numba", "numpy")
     if accel.HAS_NUMBA:
         assert accel.backend_name() == "numba"
+
+
+def reference_snap(counts, k, q):
+    """Largest-remainder rounding of counts/k to denominator q, in Fractions:
+    floors, then one more for the largest remainders, lower index on ties."""
+    exact = [Fraction(c * q, k) for c in counts]
+    snapped = [math.floor(x) for x in exact]
+    order = sorted(range(len(counts)), key=lambda i: snapped[i] - exact[i])
+    for i in order[:q - sum(snapped)]:
+        snapped[i] += 1
+    return snapped
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 1, 1, 1, 1, 1, 1],             # all remainders tie
+    [3, 3, 0, 5, 5, 1, 0, 3, 2],       # repeated counts, zeros
+    [997, 1, 1, 2, 2, 2, 4096 - 1005],  # one dominant strategy
+    [7] * 13 + [11] * 6,               # two tie classes
+])
+def test_batched_snaps_match_fraction_reference(counts):
+    counts = np.array(counts, dtype=np.int64)
+    k = int(counts.sum())
+    qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
+    snapped = accel.snapped_counts(counts, k, qs)
+    deficits = 0
+    for q, row in zip(qs.tolist(), snapped.tolist()):
+        expected = reference_snap(counts.tolist(), k, q)
+        assert row == expected, q
+        deficits += sum(expected) != sum(c * q // k for c in counts.tolist())
+    assert deficits > 0
+
+
+def test_checkpoint_folds_the_best_snap():
+    rng = np.random.default_rng(5)
+    M = (rng.random((9, 6)) < 0.5).astype(np.int64)
+    counts = rng.integers(0, 40, size=9).astype(np.int64)
+    k = int(counts.sum())
+    best = max(Fraction(int((np.array(reference_snap(counts.tolist(), k, q)) @ M).min()), q)
+               for q in range(1, accel.SNAP_QMAX + 1))
+    num, den = accel._snap_checkpoint(counts, k, M, True, 0, 1)
+    assert Fraction(num, den) == best
+
+
+# Values taken from the per-q snapping kernel this batched one replaced.
+WORKER_GOLDEN = {
+    3: [["1/3", "1/2", 3, False], ["1/2", "2/3", 3, False], ["1/2", "1/2", 2, True],
+        ["1", "1", 1, True], ["0", "0", 1, True], ["1/2", "1", 3, False],
+        ["0", "1/3", 3, False], ["1/3", "1/2", 3, False]],
+    130: [["1/2", "1/2", 128, True], ["1/2", "1/2", 128, True], ["1/2", "1/2", 2, True],
+          ["1", "1", 1, True], ["0", "0", 1, True], ["3/5", "3/5", 128, True],
+          ["0", "0", 128, True], ["1/2", "1/2", 128, True]],
+}
+CARDINALITY_GOLDEN = {
+    (9, 4, 3): ["0", "1", 3, False],
+    (9, 4, 130): ["49/111", "4/9", 130, False],
+    (9, 4, 10**6): ["4/9", "4/9", 512, True],
+    (11, 5, 3): ["0", "1", 3, False],
+    (11, 5, 130): ["19/43", "5/11", 130, False],
+    (11, 5, 10**6): ["5/11", "5/11", 4096, True],
+}
+
+
+def summary(fam, max_iters):
+    r = fictitious_play(fam, max_iters, Fraction(1, 10**6))
+    return [str(r.lower), str(r.upper), r.iterations, r.converged]
+
+
+@pytest.mark.parametrize("max_iters", sorted(WORKER_GOLDEN))
+def test_worker_families_match_golden(max_iters):
+    got = [summary(random_family(seed, n=None, max_sets=25), max_iters) for seed in range(8)]
+    assert got == WORKER_GOLDEN[max_iters]
+
+
+@pytest.mark.parametrize("n, k, max_iters", sorted(CARDINALITY_GOLDEN))
+def test_cardinality_families_match_golden(n, k, max_iters):
+    got = summary(cardinality_bound_family(n, k), max_iters)
+    assert got == CARDINALITY_GOLDEN[n, k, max_iters]

@@ -322,3 +322,27 @@ def test_string_coords_in_vector_exit_2(tmp_path, capsys):
     rc, out, err = run(capsys, "norm", "--family", str(fam), "--vector", str(vec))
     assert rc == 2 and out == ""
     assert str(vec) in err and "'coords'" in err
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("interval-bound", "--system", "sets"),
+    ("norm", "--vector", "coords"),
+    ("certificate-verify", "--certificate", "primal dual delta"),
+])
+def test_non_object_input_file_exit_2(family_file, tmp_path, capsys, command, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(text))
+    argv = [command, flag, str(bad)]
+    if command != "interval-bound":
+        argv += ["--family", str(family_file)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert str(bad) in err and "must contain a JSON object" in err
+
+
+def test_gen_oversized_cardinality_exit_2(tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    rc, _, err = run(capsys, "gen", "--kind", "cardinality", "--n", "60", "--k", "30",
+                     "--out", str(out))
+    assert rc == 2 and "C(60, 30)" in err and "118264581564861424" in err
+    assert not out.exists()

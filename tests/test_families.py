@@ -171,6 +171,34 @@ def test_realize_random_graphs_match_bruteforce():
         assert list(ind.maximal) == brute_maximal_cliques(n, comp)
 
 
+def test_maximal_cliques_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    graphs = [(n, cycle_edges(n)) for n in range(3, 21)]
+    for _ in range(40):
+        n = rng.randint(1, 18)
+        p = rng.choice((0.2, 0.5, 0.8))
+        graphs.append((n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < p]))
+    for n, edges in graphs:
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
+        assert list(maximal_cliques(n, edges).maximal) == expected, (n, edges)
+
+
+def test_enumerators_refuse_oversized_inputs():
+    with pytest.raises(ValueError, match="118264581564861424"):
+        cardinality_bound_family(60, 30)  # C(60, 30) maximal sets
+    big = HereditaryFamily(n=24, maximal=(tuple(range(24)),))
+    with pytest.raises(ValueError, match=str(1 << 24)):
+        all_members(big)
+    with pytest.raises(ValueError, match=str(1 << 23)):
+        maximal_up_set(big, {0})
+    assert len(cardinality_bound_family(15, 7).maximal) == 6435
+
+
 def test_realize_errors():
     with pytest.raises(ValueError):
         realize(FamilySpec(kind="cardinality_bound", n=3, k=4))
