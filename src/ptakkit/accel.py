@@ -26,14 +26,13 @@ player's counts for a block of ``q`` values at once (floor, stable argsort
 ranks for the remainders, one int64 matmul) and is always numpy, since
 ``njit`` cannot sort along an axis.  Set ``PTAKKIT_NUMBA=0`` to force the
 numpy fallback (results are bit-identical), ``PTAKKIT_NUMBA=1`` to make a
-missing numba an error.
+missing numba an error.  numpy itself is imported inside the functions that
+use it, so importing the package does not load it unless numba does.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
@@ -61,6 +60,8 @@ def snapped_counts(counts, k, qs):
     floors first, then one more for the ``deficit`` largest remainders, ties
     going to the lower index.
     """
+    import numpy as np
+
     scaled = counts[None, :] * qs[:, None]
     snapped = scaled // k
     deficit = qs - snapped.sum(axis=1)
@@ -77,6 +78,8 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d):
     the row player, ``M.T`` for the column player); each snap to ``q``
     certifies ``min`` (lower) or ``max`` (upper) of them over ``q``.
     """
+    import numpy as np
+
     sign = 1 if is_lower else -1  # a lower bound improves upwards
     for q0 in range(1, SNAP_QMAX + 1, _SNAP_BLOCK):
         qs = np.arange(q0, min(q0 + _SNAP_BLOCK, SNAP_QMAX + 1), dtype=np.int64)
@@ -128,6 +131,8 @@ def fp_bracket(M, max_iters, eps):
     Returns ``(low_num, low_den, up_num, up_den, iterations)`` with the
     bounds as exact integer fractions.
     """
+    import numpy as np
+
     big = int(max_iters) + 1  # dominates any play count in the tie keys
     bigM = M * big
     bigMT = np.ascontiguousarray(bigM.T)

@@ -13,12 +13,10 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-import numpy as np
-
 from . import accel
 from .families import HereditaryFamily
-from .lp import ONE, ZERO, solve_max_slack
-from .rationals import as_fraction, format_rational
+from .lp import solve_max_slack
+from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -198,36 +196,39 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     active = [start]
     active_flags = [False] * m
     active_flags[start] = True
-    ones_n = [ONE] * n
+    ones_n = [1] * n
     pivots = 0
 
     while True:
         A = []
         for idx in active:
-            row = [ONE] * n
+            row = [1] * n
             for s in sets[idx]:
-                row[s] = Fraction(2)
+                row[s] = 2
             A.append(row)
-        res = solve_max_slack(ones_n, A, [ONE] * len(active))
+        res = solve_max_slack(ones_n, A, [1] * len(active))
         pivots += res.pivots
-        zstar = res.objective  # equals 1/(delta+1), in [1/2, 1]
-        delta = ONE / zstar - 1
-        lam = {s: res.x[s] / zstar for s in range(n) if res.x[s] != 0}
+        # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1
+        nums, den = scaled_ints(res.x)
+        total = sum(nums)
 
-        worst = delta
+        worst = den - total  # delta * total
         worst_idx = -1
+        weight_of = nums.__getitem__
         for idx in range(m):
             if active_flags[idx]:
                 continue
-            val = sum((lam.get(s, ZERO) for s in sets[idx]), ZERO)
+            val = sum(map(weight_of, sets[idx]))
             if val > worst:
                 worst = val
                 worst_idx = idx
         if worst_idx < 0:
+            zstar = res.objective  # equals 1/(delta+1), in [1/2, 1]
             mu = {active[r]: res.duals[r] / zstar for r in range(len(active))}
-            primal = ConvexMean(lam)
+            primal = ConvexMean({s: Fraction(v, total) for s, v in enumerate(nums) if v})
             dual = FractionalCover(mu)
-            return GameValueResult(delta=delta, primal=primal, dual=dual, pivots=pivots)
+            return GameValueResult(delta=Fraction(den - total, total), primal=primal,
+                                   dual=dual, pivots=pivots)
         active.append(worst_idx)
         active_flags[worst_idx] = True
 
@@ -292,8 +293,10 @@ class FictitiousPlayResult:
         return self.lower <= value <= self.upper
 
 
-def incidence_matrix(fam: HereditaryFamily) -> np.ndarray:
+def incidence_matrix(fam: HereditaryFamily) -> "np.ndarray":
     """0/1 matrix, one row per maximal set, one column per label."""
+    import numpy as np
+
     M = np.zeros((len(fam.maximal), fam.n), dtype=np.int64)
     for i, fset in enumerate(fam.maximal):
         for s in fset:

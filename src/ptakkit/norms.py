@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, Optional
 
 from .families import HereditaryFamily
 from .game import delta_exact
-from .lp import ONE, ZERO, solve_min_general
-from .rationals import as_fraction, format_rational
+from .lp import solve_min_general
+from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ def _as_coords(fam: HereditaryFamily, x) -> tuple[Fraction, ...]:
     return coords
 
 
-def _scaled_ints(coords: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    den = lcm(*(c.denominator for c in coords)) if coords else 1
-    return [int(c * den) for c in coords], den
-
-
 def _fnorm_scaled(sets, nums) -> int:
     best = 0
     for fset in sets:
@@ -78,13 +72,14 @@ def _fnorm_scaled(sets, nums) -> int:
 def f_norm(fam: HereditaryFamily, x) -> Fraction:
     """Max absolute member sum (sign-split over maximal sets, exact)."""
     coords = _as_coords(fam, x)
-    nums, den = _scaled_ints(coords)
+    nums, den = scaled_ints(coords)
     return Fraction(_fnorm_scaled(fam.maximal, nums), den)
 
 
 def l1_norm(x) -> Fraction:
     coords = x.coords if isinstance(x, FamilyVector) else tuple(as_fraction(c) for c in x)
-    return sum((abs(c) for c in coords), ZERO)
+    nums, den = scaled_ints(coords)
+    return Fraction(sum(map(abs, nums)), den)
 
 
 @dataclass(frozen=True)
@@ -132,15 +127,15 @@ def min_ratio_nonneg(fam: HereditaryFamily) -> Fraction:
     """
     n = fam.n
     # variables: x_0..x_{n-1}, t ; minimize t
-    c = [ZERO] * n + [ONE]
+    c = [0] * n + [1]
     constraints = []
     for fset in fam.maximal:
-        row = [ZERO] * (n + 1)
+        row = [0] * (n + 1)
         for s in fset:
-            row[s] = ONE
-        row[n] = -ONE
-        constraints.append((row, "<=", ZERO))
-    constraints.append(([ONE] * n + [ZERO], "==", ONE))
+            row[s] = 1
+        row[n] = -1
+        constraints.append((row, "<=", 0))
+    constraints.append(([1] * n + [0], "==", 1))
     return solve_min_general(c, constraints).objective
 
 

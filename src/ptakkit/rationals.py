@@ -1,13 +1,16 @@
 """Exact rational plumbing: parsing, formatting and coercion helpers.
 
-All exact arithmetic in the package rides on :class:`fractions.Fraction`.
-Serialized form is the reduced string ``"p/q"`` (denominator always written,
-so ``Fraction(1)`` round-trips as ``"1/1"``).
+Exact values in the package are :class:`fractions.Fraction`s; the hot loops
+(simplex tableau, pricing, norms) put them over one common denominator with
+:func:`scaled_ints` and work in integers.  Serialized form is the reduced
+string ``"p/q"`` (denominator always written, so ``Fraction(1)`` round-trips
+as ``"1/1"``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,3 +45,9 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
+
+
+def scaled_ints(values) -> tuple[list[int], int]:
+    """Ints or Fractions as integers over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -56,6 +56,16 @@ def test_backend_name_reports_selection():
         assert accel.backend_name() == "numba"
 
 
+def test_import_does_not_load_numpy():
+    # without numba, numpy is loaded only when the play oracle first runs
+    probe = ("import sys, ptakkit, ptakkit.cli; print('numpy' in sys.modules, "
+             "callable(ptakkit.accel.fp_bracket))")
+    env = dict(os.environ, PTAKKIT_NUMBA="0")
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["False", "True"]
+
+
 def reference_snap(counts, k, q):
     """Largest-remainder rounding of counts/k to denominator q, in Fractions:
     floors, then one more for the largest remainders, lower index on ties."""
