@@ -62,23 +62,46 @@ def _containers(masks: Sequence[int]) -> dict[int, int]:
     """For each mask lying inside another, the index of one mask containing it.
 
     The masks must be distinct.  Distinct sets nest only in sets with more
-    elements, so each mask is compared only with the larger masks that are
-    not themselves inside another; masks of one size cost no comparisons.
+    elements, so the masks are taken one size at a time, largest first, and
+    each is looked up among the larger masks that are not themselves inside
+    another, kept in that order.  The lookup is a bitset index: for each
+    label, the positions of the kept masks holding it.  A mask lies inside
+    exactly the kept masks in the AND of its labels' bitsets, and the lowest
+    of them is reported.  Masks of one size cost no comparisons, and the
+    smallest size is never indexed, since nothing is looked up after it.
     """
     by_size: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
         by_size.setdefault(m.bit_count(), []).append(i)
+    sizes = sorted(by_size, reverse=True)
     inside: dict[int, int] = {}
-    larger: list[tuple[int, int]] = []
-    for size in sorted(by_size, reverse=True):
+    kept: list[int] = []  # indices of the undominated larger masks
+    holding: dict[int, int] = {}  # label bit -> bitset of positions in kept
+    positions_of = holding.get
+    for size in sizes:
         group = by_size[size]
+        if kept:
+            everything = (1 << len(kept)) - 1
+            for i in group:
+                found, rest = everything, masks[i]
+                while rest and found:
+                    bit = rest & -rest
+                    found &= positions_of(bit, 0)
+                    rest ^= bit
+                if found:
+                    inside[i] = kept[(found & -found).bit_length() - 1]
+        if size == sizes[-1]:
+            break
         for i in group:
-            a = masks[i]
-            for j, b in larger:
-                if a & b == a:
-                    inside[i] = j
-                    break
-        larger.extend((i, masks[i]) for i in group if i not in inside)
+            if i in inside:
+                continue
+            position = 1 << len(kept)
+            kept.append(i)
+            rest = masks[i]
+            while rest:
+                bit = rest & -rest
+                holding[bit] = positions_of(bit, 0) | position
+                rest ^= bit
     return inside
 
 
@@ -308,49 +331,66 @@ def _validated_edges(edges: Sequence[Sequence[int]], n: int) -> list[tuple[int, 
     return out
 
 
-def maximal_cliques(n: int, edges: Sequence[Sequence[int]]) -> HereditaryFamily:
-    """All maximal cliques via pivoting Bron-Kerbosch, deterministic order."""
+def _adjacency(n: int, edges: Sequence[Sequence[int]]) -> list[int]:
     adj = [0] * n
     for u, v in _validated_edges(edges, n):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
 
+
+def _bron_kerbosch(n: int, adj: Sequence[int]) -> HereditaryFamily:
+    """Maximal cliques of the graph with neighbour masks ``adj``, by pivoting
+    Bron-Kerbosch in a deterministic order; more than ENUMERATION_LIMIT of
+    them is refused rather than listed."""
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        # pivot: vertex of P|X with most neighbours in P, smallest label on ties
-        best, best_deg = -1, -1
-        pool = p | x
-        u = 0
-        while pool:
-            if pool & 1:
-                deg = bin(p & adj[u]).count("1")
-                if deg > best_deg:
-                    best, best_deg = u, deg
-            pool >>= 1
-            u += 1
-        cand = p & ~adj[best]
-        v = 0
-        while cand >> v:
-            if (cand >> v) & 1:
-                vb = 1 << v
-                expand(r | vb, p & adj[v], x & adj[v])
-                p &= ~vb
-                x |= vb
-            v += 1
-
-    expand(0, (1 << n) - 1, 0)
+    _expand(adj, out, 0, (1 << n) - 1, 0)
     return hereditary_closure([mask_to_tuple(m) for m in out], n)
+
+
+def _expand(adj: Sequence[int], out: list[int], r: int, p: int, x: int) -> None:
+    """Append to ``out`` the maximal cliques that extend ``r`` by vertices of
+    ``p`` and by none of ``x``.  A module-level function rather than a nested
+    one, whose self-reference would keep each call's ``out`` alive until the
+    cyclic collector ran."""
+    if p == 0 and x == 0:
+        out.append(r)
+        if len(out) > ENUMERATION_LIMIT:
+            raise ValueError(f"Bron-Kerbosch found more than ENUMERATION_LIMIT = "
+                             f"{ENUMERATION_LIMIT} maximal cliques")
+        return
+    # pivot: vertex of P|X with most neighbours in P, smallest label on ties
+    best, best_deg = -1, -1
+    pool = p | x
+    u = 0
+    while pool:
+        if pool & 1:
+            deg = bin(p & adj[u]).count("1")
+            if deg > best_deg:
+                best, best_deg = u, deg
+        pool >>= 1
+        u += 1
+    cand = p & ~adj[best]
+    v = 0
+    while cand >> v:
+        if (cand >> v) & 1:
+            vb = 1 << v
+            _expand(adj, out, r | vb, p & adj[v], x & adj[v])
+            p &= ~vb
+            x |= vb
+        v += 1
+
+
+def maximal_cliques(n: int, edges: Sequence[Sequence[int]]) -> HereditaryFamily:
+    """All maximal cliques via pivoting Bron-Kerbosch, deterministic order."""
+    return _bron_kerbosch(n, _adjacency(n, edges))
 
 
 def maximal_independent_sets(n: int, edges: Sequence[Sequence[int]]) -> HereditaryFamily:
     """Maximal independent sets, as maximal cliques of the complement graph."""
-    present = {(u, v) for u, v in _validated_edges(edges, n)}
-    complement = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
-    return maximal_cliques(n, complement)
+    everyone = (1 << n) - 1
+    return _bron_kerbosch(n, [everyone & ~(a | (1 << u))
+                              for u, a in enumerate(_adjacency(n, edges))])
 
 
 def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:

@@ -127,18 +127,25 @@ def _weights_of(mean: Union[ConvexMean, Mapping[int, Fraction]]) -> Mapping[int,
     return mean.weights if isinstance(mean, ConvexMean) else mean
 
 
+def _set_weights(fam: HereditaryFamily, weights: Mapping[int, Fraction]) -> tuple[list[int], int]:
+    """Weight of each maximal set, as integers over the weights' least common
+    denominator.  The labels must already be checked to lie in the ground set."""
+    nums, den = scaled_ints(list(weights.values()))
+    per_label = [0] * fam.n
+    for s, v in zip(weights, nums):
+        per_label[s] = v
+    weight_of = per_label.__getitem__
+    return [sum(map(weight_of, fset)) for fset in fam.maximal], den
+
+
 def evaluate_mean(fam: HereditaryFamily, mean: ConvexMean) -> Fraction:
     """Largest member weight: max over maximal sets F of the mass inside F."""
     weights = _weights_of(mean)
     for s in weights:
         if not (0 <= s < fam.n):
             raise ValueError(f"mean supported outside ground set: label {s}")
-    best = ZERO
-    for fset in fam.maximal:
-        total = sum((weights.get(s, ZERO) for s in fset), ZERO)
-        if total > best:
-            best = total
-    return best
+    totals, den = _set_weights(fam, weights)
+    return Fraction(max(0, max(totals, default=0)), den)
 
 
 def best_response(fam: HereditaryFamily,
@@ -153,22 +160,20 @@ def best_response(fam: HereditaryFamily,
             raise ValueError(f"weight on label {s} outside ground set")
         if w < 0:
             raise ValueError("weights must be nonnegative")
-    best_set: tuple[int, ...] = ()
-    best_val: Optional[Fraction] = None
-    for fset in fam.maximal:  # stored in lexicographic order
-        total = sum((weights.get(s, ZERO) for s in fset), ZERO)
-        if best_val is None or total > best_val:
-            best_val = total
-            best_set = fset
-    return best_set
+    if not fam.maximal:
+        return ()
+    totals, _ = _set_weights(fam, weights)
+    # maximal sets are stored in lexicographic order, and max keeps the first
+    return fam.maximal[max(range(len(totals)), key=totals.__getitem__)]
 
 
 def _min_coverage(fam: HereditaryFamily, cover: FractionalCover) -> Fraction:
-    coverage = [ZERO] * fam.n
-    for idx, w in cover.weights.items():
+    nums, den = scaled_ints(list(cover.weights.values()))
+    coverage = [0] * fam.n
+    for idx, v in zip(cover.weights, nums):
         for s in fam.maximal[idx]:
-            coverage[s] += w
-    return min(coverage)
+            coverage[s] += v
+    return Fraction(min(coverage), den)
 
 
 def delta_exact(fam: HereditaryFamily) -> GameValueResult:

@@ -31,37 +31,40 @@ def max_member(fam: HereditaryFamily, budget: Optional[int] = None) -> SearchRes
     """Maximum-cardinality member; ties resolve to the lexicographically
     smallest set.  ``budget`` caps explored nodes; when it is hit the best
     member found so far is returned with ``optimal=False``.
+
+    The maximal sets are ordered by size, largest first, and each label
+    keeps the bitset of the sets holding it.  A node's candidates are then
+    one int, ANDed with a label's bitset to extend the member, and the bound
+    is the size of the lowest candidate.
     """
     n = fam.n
-    masks = fam.masks
-    sizes = [len(s) for s in fam.maximal]
-    best: tuple[int, ...] = ()
-    best_size = 0
+    order = sorted(range(len(fam.maximal)), key=lambda r: -len(fam.maximal[r]))
+    sizes = [len(fam.maximal[r]) for r in order]
+    holding = [0] * n
+    for position, r in enumerate(order):
+        for e in fam.maximal[r]:
+            holding[e] |= 1 << position
+    best_mask = best_size = 0
     nodes = 0
-    # stack of (member_mask, member_tuple, candidate row indices, next label)
-    stack = [(0, (), list(range(len(masks))), 0)]
+    # stack of (member mask, member size, candidate bitset, next label)
+    stack = [(0, 0, (1 << len(order)) - 1, 0)]
     truncated = False
     while stack:
         if budget is not None and nodes >= budget:
             truncated = True
             break
-        cur_mask, cur, cand, start = stack.pop()
+        cur_mask, cur_size, cand, start = stack.pop()
         nodes += 1
-        if len(cur) > best_size:
-            best, best_size = cur, len(cur)
+        if cur_size > best_size:
+            best_mask, best_size = cur_mask, cur_size
         children = []
         for e in range(start, n):
-            bit = 1 << e
-            sub = [r for r in cand if masks[r] & bit]
-            if not sub:
-                continue
-            bound = max(sizes[r] for r in sub)
-            if bound <= best_size:
-                continue
-            children.append((cur_mask | bit, cur + (e,), sub, e + 1))
+            sub = cand & holding[e]
+            if sub and sizes[(sub & -sub).bit_length() - 1] > best_size:
+                children.append((cur_mask | (1 << e), cur_size + 1, sub, e + 1))
         stack.extend(reversed(children))  # visit smallest label first
-    return SearchResult(best=best, size=best_size, nodes_explored=nodes,
-                        optimal=not truncated)
+    return SearchResult(best=mask_to_tuple(best_mask), size=best_size,
+                        nodes_explored=nodes, optimal=not truncated)
 
 
 def greedy_member(fam: HereditaryFamily, order: Sequence[int]) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ptakkit.cli
+import ptakkit.families
 import ptakkit.search
 from ptakkit.cli import main
 from ptakkit.families import family_from_json_dict
@@ -346,3 +347,13 @@ def test_gen_oversized_cardinality_exit_2(tmp_path, capsys):
                      "--out", str(out))
     assert rc == 2 and "C(60, 30)" in err and "118264581564861424" in err
     assert not out.exists()
+
+
+def test_oversized_clique_enumeration_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ptakkit.families, "ENUMERATION_LIMIT", 100)
+    fam = tmp_path / "mis.json"
+    edges = [[i, (i + 1) % 30] for i in range(30)]
+    fam.write_text(json.dumps({"spec": {"kind": "graph_independent", "n": 30, "edges": edges}}))
+    rc, out, err = run(capsys, "delta", "--family", str(fam))
+    assert rc == 2 and out == ""
+    assert str(fam) in err and "ENUMERATION_LIMIT = 100" in err

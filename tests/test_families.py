@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptakkit.families
 from ptakkit.families import (
     FamilySpec,
     HereditaryFamily,
@@ -20,6 +21,7 @@ from ptakkit.families import (
     membership,
     random_family,
     realize,
+    set_mask,
     trace,
 )
 
@@ -107,6 +109,41 @@ def test_direct_construction_rejects_non_canonical():
         HereditaryFamily(n=3, maximal=((0, 1), (0, 1, 2)))  # container sorts after
     with pytest.raises(ValueError, match=r"\(64, 70\) within \(3, 64, 70\)"):
         HereditaryFamily(n=80, maximal=((3, 64, 70), (64, 70)))  # masks beyond 64 bits
+
+
+def pairwise_containers(masks):
+    """Reference for ``_containers``: every mask lying inside another, mapped
+    to the largest undominated mask containing it, the lowest index on ties."""
+    dominated = {i for i, a in enumerate(masks)
+                 if any(j != i and a & b == a for j, b in enumerate(masks))}
+    return {i: min((j for j, b in enumerate(masks)
+                    if j not in dominated and j != i and masks[i] & b == masks[i]),
+                   key=lambda j: (-masks[j].bit_count(), j))
+            for i in dominated}
+
+
+def test_containers_match_pairwise_scan():
+    rng = random.Random(31)
+    checked = {"dominated": 0, "same size": 0, "beyond 64": 0}
+    for _ in range(1200):
+        labels = rng.choice((6, 12, 40, 70, 140))
+        sets = set()
+        for _ in range(rng.randint(1, 8)):
+            base = rng.sample(range(labels), rng.randint(1, min(labels, 10)))
+            sets.add(frozenset(base))
+            for _ in range(rng.randint(0, 4)):  # subsets and same-size neighbours
+                sub = rng.sample(base, rng.randint(1, len(base)))
+                sets.add(frozenset(sub))
+                sets.add(frozenset(sub[1:] + [rng.randrange(labels)]))
+        masks = [set_mask(x) for x in sets]
+        rng.shuffle(masks)
+        expected = pairwise_containers(masks)
+        assert ptakkit.families._containers(masks) == expected
+        sizes = [m.bit_count() for m in masks]
+        checked["dominated"] += bool(expected)
+        checked["same size"] += len(set(sizes)) < len(sizes)
+        checked["beyond 64"] += max(masks) >= 1 << 64
+    assert min(checked.values()) >= 200, checked
 
 
 # --- membership and hereditarity ---------------------------------------------
@@ -197,6 +234,16 @@ def test_enumerators_refuse_oversized_inputs():
     with pytest.raises(ValueError, match=str(1 << 23)):
         maximal_up_set(big, {0})
     assert len(cardinality_bound_family(15, 7).maximal) == 6435
+
+
+def test_bron_kerbosch_refuses_more_than_limit(monkeypatch):
+    monkeypatch.setattr(ptakkit.families, "ENUMERATION_LIMIT", 100)
+    with pytest.raises(ValueError, match="ENUMERATION_LIMIT = 100"):
+        maximal_independent_sets(30, cycle_edges(30))  # 4,610 maximal sets
+    complement = [(i, j) for i in range(30) for j in range(i + 1, 30) if j - i not in (1, 29)]
+    with pytest.raises(ValueError, match="ENUMERATION_LIMIT = 100"):
+        maximal_cliques(30, complement)
+    assert len(maximal_independent_sets(12, cycle_edges(12)).maximal) == 29
 
 
 def test_realize_errors():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import ptakkit.game
 from ptakkit.families import (
     cardinality_bound_family,
     cycle_edges,
     hereditary_closure,
     is_full_powerset,
     maximal_cliques,
+    maximal_independent_sets,
     random_family,
     trace,
 )
@@ -219,6 +221,106 @@ def test_verify_reason_codes():
     skew = FractionalCover({0: F(1)}, validate=False)
     assert verify_certificate(
         fam, GameValueResult(res.delta, res.primal, skew)).reason == "dual-coverage"
+
+
+# Fraction references for the integer kernels of evaluate_mean, _min_coverage
+# and verify_certificate: the same checks in the same order, summed in Fractions.
+
+def fraction_evaluate_mean(fam, weights):
+    if any(not (0 <= s < fam.n) for s in weights):
+        raise ValueError("outside ground set")
+    return max([F(0)] + [sum((weights.get(s, F(0)) for s in fset), F(0))
+                         for fset in fam.maximal])
+
+
+def fraction_min_coverage(fam, weights):
+    coverage = [F(0)] * fam.n
+    for i, w in weights.items():
+        for s in fam.maximal[i]:
+            coverage[s] += w
+    return min(coverage)
+
+
+def fraction_verify_reason(fam, res):
+    pw, dw = res.primal.weights, res.dual.weights
+    if any(not (0 <= s < fam.n) for s in pw):
+        return "primal-support"
+    if any(w < 0 for w in pw.values()):
+        return "primal-negative"
+    if sum(pw.values(), F(0)) != 1:
+        return "primal-sum"
+    if fraction_evaluate_mean(fam, pw) != res.delta:
+        return "primal-value"
+    if any(not (0 <= i < len(fam.maximal)) for i in dw):
+        return "dual-index"
+    if any(w < 0 for w in dw.values()):
+        return "dual-negative"
+    if (sum(dw.values(), F(0)) != 1) if dw else bool(fam.maximal):
+        return "dual-sum"
+    if fraction_min_coverage(fam, dw) != res.delta:
+        return "dual-coverage"
+    return None
+
+
+def tampered_certificates(fam, res, rng):
+    """The certificate itself, then variants that break (or keep) each check."""
+    pw, dw = dict(res.primal.weights), dict(res.dual.weights)
+    n, m = fam.n, len(fam.maximal)
+    a, b = rng.randrange(n), rng.randrange(n)
+    shift = F(rng.randint(1, 5), rng.randint(2, 9))
+    moved = dict(pw)
+    moved[a] = moved.get(a, F(0)) + shift
+    moved[b] = moved.get(b, F(0)) - shift
+    raw = {s: F(rng.randint(-3, 9), rng.randint(1, 6)) for s in range(n)}
+    total = sum(raw.values(), F(0)) or F(1)
+    primals = [
+        pw, moved, {**pw, n: F(1, 5)}, {**pw, -1: F(1, 5)}, {s: 2 * w for s, w in pw.items()},
+        {s: w / total for s, w in raw.items()},
+    ]
+    duals = [dw, {}, {**dw, m: F(1, 2)}, {**dw, -1: F(1, 2)}, {i: w / 2 for i, w in dw.items()}]
+    if m:
+        i, j = rng.randrange(m), rng.randrange(m)
+        skew = dict(dw)
+        skew[i] = skew.get(i, F(0)) + shift
+        skew[j] = skew.get(j, F(0)) - shift
+        duals.append(skew)
+        duals.append({i: F(1)})
+    deltas = [res.delta, res.delta + F(1, 97)]
+    for delta in deltas:
+        for p in primals:
+            yield GameValueResult(delta, ConvexMean(p, validate=False), res.dual)
+        for d in duals:
+            yield GameValueResult(delta, res.primal, FractionalCover(d, validate=False))
+
+
+def test_weight_kernels_match_fraction_reference(corpus, corpus_values):
+    rng = random.Random(17)
+    families = list(zip(corpus, corpus_values))[:200]
+    families += [(f, delta_exact(f)) for f in (
+        c5(), cardinality_bound_family(9, 4), maximal_independent_sets(14, cycle_edges(14)),
+        hereditary_closure([{0, 1}], 3), hereditary_closure([], 3))]
+    reasons = set()
+    for fam, res in families:
+        ties = {s: F(rng.randint(0, 2), rng.randint(1, 3)) for s in range(fam.n)}
+        totals = [sum((ties[s] for s in fset), F(0)) for fset in fam.maximal]
+        first_best = fam.maximal[totals.index(max(totals))] if totals else ()
+        assert best_response(fam, ties) == first_best
+        for cert in tampered_certificates(fam, res, rng):
+            expected = fraction_verify_reason(fam, cert)
+            assert verify_certificate(fam, cert).reason == expected
+            reasons.add(expected)
+            pw, dw = cert.primal.weights, cert.dual.weights
+            if all(0 <= s < fam.n for s in pw):
+                value = evaluate_mean(fam, cert.primal)
+                assert type(value) is F and value == fraction_evaluate_mean(fam, pw)
+            else:
+                with pytest.raises(ValueError):
+                    evaluate_mean(fam, cert.primal)
+            if all(0 <= i < len(fam.maximal) for i in dw):
+                coverage = ptakkit.game._min_coverage(fam, cert.dual)
+                assert type(coverage) is F and coverage == fraction_min_coverage(fam, dw)
+    assert reasons == {None, "primal-support", "primal-negative", "primal-sum", "primal-value",
+                       "dual-index", "dual-negative", "dual-sum", "dual-coverage"}
 
 
 def test_verify_empty_family_certificate():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ from ptakkit.families import (
     trace,
 )
 from ptakkit.game import ConvexMean, best_response
+from ptakkit.intervals import random_system, trace_family
 from ptakkit.search import BoundReport, greedy_member, max_member, ptak_bound_check
 from ptakkit.suite import run_suite
 
@@ -77,6 +80,40 @@ def test_max_member_budget_flag():
     # best-effort result is always a member and never overshoots
     assert membership(fam, res.best)
     assert res.size <= full.size
+
+
+def test_max_member_pinned_on_corpus(corpus):
+    # sha256 of (seed, budget, best, size, nodes_explored, optimal) for every
+    # family and budget, as the list-of-rows search reported them
+    rows = []
+    for seed, fam in enumerate(corpus):
+        for budget in (None, 1, 3, 10):
+            r = max_member(fam, budget)
+            rows.append([seed, budget, list(r.best), r.size, r.nodes_explored, r.optimal])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "91b388fdeff5c14bd748d477c1e08c31e7abd614775cf5f1df262cfc5461315c")
+
+
+def test_max_member_pinned_on_wide_families():
+    rng = random.Random("wide:0")  # the seed-0 interval system of the wide benchmark
+    system = random_system(rng.randrange(2**32), 80, 1, F(1, 4))
+    evens = tuple(range(0, 30, 2))
+    pins = [
+        (cardinality_bound_family(14, 7), [
+            (tuple(range(7)), 7, 78, True), ((), 0, 1, False), ((0, 1), 2, 3, False),
+            (tuple(range(7)), 7, 10, False)]),
+        (maximal_independent_sets(30, cycle_edges(30)), [
+            (evens, 15, 227, True), ((), 0, 1, False), ((0, 2), 2, 3, False),
+            (evens[:9], 9, 10, False)]),
+        (trace_family(system), [
+            (tuple(sorted(set(range(80)) - {3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76})),
+             69, 4052, True),
+            ((), 0, 1, False), ((0, 1), 2, 3, False),
+            ((0, 1, 2, 6, 7, 8, 9, 10, 13), 9, 10, False)]),
+    ]
+    for fam, expected in pins:
+        results = [max_member(fam, budget) for budget in (None, 1, 3, 10)]
+        assert [(r.best, r.size, r.nodes_explored, r.optimal) for r in results] == expected
 
 
 # --- greedy_member ----------------------------------------------------------------
