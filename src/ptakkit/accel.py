@@ -20,37 +20,17 @@ vector and reads everything else off the keys.  The counts are the keys'
 low digits and are recovered only at checkpoints.
 
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
-next checkpoint (or ``max_iters``); it is JIT-compiled with numba when
-available and otherwise runs from the same source.  A checkpoint snaps each
-player's counts for a block of ``q`` values at once (floor, stable argsort
-ranks for the remainders, one int64 matmul) and is always numpy, since
-``njit`` cannot sort along an axis.  Set ``PTAKKIT_NUMBA=0`` to force the
-numpy fallback (results are bit-identical), ``PTAKKIT_NUMBA=1`` to make a
-missing numba an error.  numpy itself is imported inside the functions that
-use it, so importing the package does not load it unless numba does.
+next checkpoint (or ``max_iters``).  A checkpoint snaps each player's counts
+for a block of ``q`` values at once (floor, stable argsort ranks for the
+remainders, one int64 matmul).  numpy is imported inside the functions that
+use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import os
-
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
 _SNAP_BLOCK = 16  # q values per checkpoint matmul; larger blocks cost peak memory
-
-_env = os.environ.get("PTAKKIT_NUMBA", "auto").strip().lower()
-_want_numba = _env not in ("0", "false", "no", "off")
-
-HAS_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env in ("1", "true", "yes", "on"):
-            raise
-        HAS_NUMBA = False
 
 
 def snapped_counts(counts, k, qs):
@@ -91,39 +71,6 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d):
     return best_n, best_d
 
 
-def _play_impl(bigM, bigMT, big, row_key, col_key, i, k, stop,
-               low_n, low_d, up_n, up_d, margin):
-    """Play iterations ``k+1 .. stop`` unless the bracket closes first.
-
-    Returns the next row choice, the last iteration, the running best
-    bounds and whether the width test fired.
-    """
-    while k < stop:
-        k += 1
-        row_key[i] -= 1
-        col_key += bigM[i]
-        j = col_key.argmin()  # least pay, least played, lowest index
-        col_key[j] += 1
-        row_key += bigMT[j]
-        i = row_key.argmax()  # best pay, least played, lowest index
-        lo = col_key[j] // big
-        up = -(-row_key[i] // big)
-        # cross-multiplied comparisons keep the running bests exact
-        if up * up_d < up_n * k:
-            up_n, up_d = up, k
-        if lo * low_d > low_n * k:
-            low_n, low_d = lo, k
-        if up_n / up_d - low_n / low_d <= margin:
-            return i, k, low_n, low_d, up_n, up_d, True
-    return i, k, low_n, low_d, up_n, up_d, False
-
-
-if HAS_NUMBA:
-    _play = njit(cache=True)(_play_impl)
-else:
-    _play = _play_impl
-
-
 def fp_bracket(M, max_iters, eps):
     """Bracket the game value of incidence matrix ``M``.
 
@@ -143,11 +90,24 @@ def fp_bracket(M, max_iters, eps):
     next_cp = _CHECKPOINT_START
     i, k = 0, 0
     while k < max_iters:
-        i, k, low_n, low_d, up_n, up_d, closed = _play(
-            bigM, bigMT, big, row_key, col_key, i, k, min(next_cp, max_iters),
-            low_n, low_d, up_n, up_d, margin)
-        if closed:
-            break
+        stop = min(next_cp, max_iters)
+        while k < stop:
+            k += 1
+            row_key[i] -= 1
+            col_key += bigM[i]
+            j = col_key.argmin()  # least pay, least played, lowest index
+            col_key[j] += 1
+            row_key += bigMT[j]
+            i = row_key.argmax()  # best pay, least played, lowest index
+            lo = col_key[j] // big
+            up = -(-row_key[i] // big)
+            # cross-multiplied comparisons keep the running bests exact
+            if up * up_d < up_n * k:
+                up_n, up_d = up, k
+            if lo * low_d > low_n * k:
+                low_n, low_d = lo, k
+            if up_n / up_d - low_n / low_d <= margin:
+                return low_n, low_d, up_n, up_d, k
         next_cp *= 2
         low_n, low_d = _snap_checkpoint(-row_key % big, k, M, True, low_n, low_d)
         up_n, up_d = _snap_checkpoint(col_key % big, k, M.T, False, up_n, up_d)
@@ -157,4 +117,5 @@ def fp_bracket(M, max_iters, eps):
 
 
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """The oracle backend, as the ``backend`` key of reports records it."""
+    return "numpy"

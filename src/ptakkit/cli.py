@@ -4,8 +4,6 @@ Every command emits a JSON report (stdout, or ``--out``).  Reports carry a
 sha256 digest of each input file and a timestamp; given identical inputs and
 seeds everything except the timestamp is byte-identical.  Exit codes: 0
 success, 1 verification failure, 2 usage error or malformed input.
-
-The default seed comes from ``PTAKKIT_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -88,10 +85,6 @@ def _write_json(payload: dict, out: str | None) -> None:
 def _emit(report: dict, out: str | None) -> None:
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(report, out)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("PTAKKIT_SEED", "0"))
 
 
 def cmd_delta(args) -> int:
@@ -219,10 +212,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     provenance = {
         "generator": args.kind,
-        "seed": seed,
+        "seed": args.seed,
         "algorithm": GENERATOR_ALGORITHM,
     }
     try:
@@ -241,12 +233,12 @@ def cmd_gen(args) -> int:
             payload = fam.to_json_dict()
             provenance["params"] = {"n": args.n}
         elif args.kind == "random":
-            fam = random_family(seed, n=args.n, max_sets=args.max_sets)
+            fam = random_family(args.seed, n=args.n, max_sets=args.max_sets)
             payload = fam.to_json_dict()
             provenance["params"] = {"n": args.n, "max_sets": args.max_sets}
         elif args.kind == "intervals":
             min_measure = parse_rational(args.min_measure)
-            system = random_system(seed, args.n, args.pieces, min_measure)
+            system = random_system(args.seed, args.n, args.pieces, min_measure)
             payload = system.to_json_dict()
             provenance["params"] = {
                 "n": args.n,
@@ -264,13 +256,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         eps = parse_rational(args.epsilon)
+        report = run_suite(args.seed, n=args.n, families=args.families,
+                           systems=args.systems, vectors=args.vectors,
+                           fp_iters=args.fp_iters, epsilon=eps)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    report = run_suite(seed, n=args.n, families=args.families, systems=args.systems,
-                       vectors=args.vectors, fp_iters=args.fp_iters, epsilon=eps)
     _emit(report, args.out)
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY
 
@@ -336,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sets", type=int, default=40)
     p.add_argument("--pieces", type=int, default=1)
     p.add_argument("--min-measure", default="1/4")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("suite", help="run the seeded invariant suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--families", type=int, default=24)
     p.add_argument("--systems", type=int, default=8)

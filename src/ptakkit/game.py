@@ -281,6 +281,9 @@ def verify_certificate(fam: HereditaryFamily, res: GameValueResult) -> Verificat
     return VerificationResult(True, None)
 
 
+MAX_PLAY_ITERS = 10**9  # keeps the play kernel's int64 tie keys from overflowing
+
+
 @dataclass(frozen=True)
 class FictitiousPlayResult:
     """Bracketing interval for the game value from best-response averaging."""
@@ -289,10 +292,6 @@ class FictitiousPlayResult:
     upper: Fraction
     iterations: int
     converged: bool
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
 
     def contains(self, value: Fraction) -> bool:
         return self.lower <= value <= self.upper
@@ -322,7 +321,7 @@ def fictitious_play(fam: HereditaryFamily, max_iters: int,
     epsilon = as_fraction(epsilon)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if max_iters > 10**9:
+    if max_iters > MAX_PLAY_ITERS:
         raise ValueError("max_iters above 1e9 would overflow the int64 kernel")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

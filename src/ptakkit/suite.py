@@ -21,6 +21,7 @@ from .families import (
     trace,
 )
 from .game import (
+    MAX_PLAY_ITERS,
     GameValueResult,
     delta_exact,
     evaluate_mean,
@@ -46,7 +47,20 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
               vectors: int = 12, fp_iters: int = 200_000,
               epsilon: Fraction = Fraction(1, 10**6)) -> dict:
     """Run every cross-module invariant on seeded instances; returns the
-    report dict with an ``all_pass`` flag."""
+    report dict with an ``all_pass`` flag.
+
+    Raises ``ValueError`` naming the ``ptakkit suite`` flag of a parameter
+    out of range.
+    """
+    for flag, value, least in (("--n", n, 1), ("--families", families, 1),
+                               ("--systems", systems, 0), ("--vectors", vectors, 0),
+                               ("--fp-iters", fp_iters, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if fp_iters > MAX_PLAY_ITERS:
+        raise ValueError(f"--fp-iters must be at most {MAX_PLAY_ITERS}, got {fp_iters}")
+    if epsilon <= 0:
+        raise ValueError(f"--epsilon must be positive, got {epsilon}")
     rng = random.Random(seed)
     fam_seeds = [rng.randrange(2**32) for _ in range(families)]
     sys_seeds = [rng.randrange(2**32) for _ in range(systems)]

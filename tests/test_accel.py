@@ -1,6 +1,4 @@
-import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,56 +10,11 @@ from ptakkit import accel
 from ptakkit.families import cardinality_bound_family, random_family
 from ptakkit.game import fictitious_play
 
-WORKER = """
-import json, sys
-from fractions import Fraction
-from ptakkit import accel
-from ptakkit.families import random_family
-from ptakkit.game import fictitious_play, incidence_matrix
-
-out = {"backend": accel.backend_name(), "runs": []}
-for seed in range(8):
-    fam = random_family(seed, n=None, max_sets=25)
-    r = fictitious_play(fam, 50000, Fraction(1, 10**6))
-    out["runs"].append([str(r.lower), str(r.upper), r.iterations, r.converged])
-print(json.dumps(out))
-"""
-
-
-def run_with_backend(flag):
-    env = dict(os.environ, PTAKKIT_NUMBA=flag)
-    res = subprocess.run([sys.executable, "-c", WORKER], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(res.stdout.strip().splitlines()[-1])
-
-
-def test_env_flag_selects_backend_and_results_match():
-    plain = run_with_backend("0")
-    assert plain["backend"] == "numpy"
-    auto = run_with_backend("auto")
-    assert plain["runs"] == auto["runs"]
-
-
-def test_inprocess_backend_matches_numpy_subprocess():
-    plain = run_with_backend("0")
-    for seed, expected in zip(range(8), plain["runs"]):
-        fam = random_family(seed, n=None, max_sets=25)
-        r = fictitious_play(fam, 50000, Fraction(1, 10**6))
-        assert [str(r.lower), str(r.upper), r.iterations, r.converged] == expected
-
-
-def test_backend_name_reports_selection():
-    assert accel.backend_name() in ("numba", "numpy")
-    if accel.HAS_NUMBA:
-        assert accel.backend_name() == "numba"
-
-
 def test_import_does_not_load_numpy():
-    # without numba, numpy is loaded only when the play oracle first runs
+    # numpy is loaded only when the play oracle first runs
     probe = ("import sys, ptakkit, ptakkit.cli; print('numpy' in sys.modules, "
              "callable(ptakkit.accel.fp_bracket))")
-    env = dict(os.environ, PTAKKIT_NUMBA="0")
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
+    res = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True)
     assert res.stdout.split() == ["False", "True"]
 

@@ -72,13 +72,13 @@ def test_gen_infeasible_parameters_exit_2(capsys):
     assert "pieces" in err
 
 
-def test_gen_seed_env_default(tmp_path, capsys, monkeypatch):
+def test_gen_seed_defaults_to_zero_and_ignores_env(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("PTAKKIT_SEED", "1")
-    run(capsys, "gen", "--kind", "intervals", "--n", "3", "--min-measure", "1/4",
-        "--out", str(a))
-    monkeypatch.delenv("PTAKKIT_SEED")
-    run(capsys, "gen", "--kind", "intervals", "--seed", "1", "--n", "3",
+    monkeypatch.setenv("PTAKKIT_SEED", "not-a-seed")
+    rc, _, _ = run(capsys, "gen", "--kind", "intervals", "--n", "3",
+                   "--min-measure", "1/4", "--out", str(a))
+    assert rc == 0
+    run(capsys, "gen", "--kind", "intervals", "--seed", "0", "--n", "3",
         "--min-measure", "1/4", "--out", str(b))
     assert a.read_text() == b.read_text()
 
@@ -207,6 +207,23 @@ def test_suite_deterministic_and_green(tmp_path, capsys):
     rep = json.loads(a.read_text())
     assert rep["all_pass"] is True
     assert all(c["pass"] for c in rep["checks"].values())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--families", "0"),
+    ("--fp-iters", "0"),
+    ("--fp-iters", "1000000001"),
+    ("--epsilon", "0"),
+    ("--n", "0"),
+    ("--n", "-1"),
+    ("--systems", "-1"),
+    ("--vectors", "-1"),
+])
+def test_suite_bad_parameter_exit_2_names_flag(capsys, flag, value):
+    rc, out, err = run(capsys, "suite", f"{flag}={value}")
+    assert rc == 2
+    assert out == ""
+    assert flag in err
 
 
 # --- malformed inputs ----------------------------------------------------------------------

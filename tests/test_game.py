@@ -414,7 +414,7 @@ def test_fp_midpoint_close_to_exact():
     d = delta_exact(fam).delta
     r = fictitious_play(fam, 10**6, EPS)
     assert r.converged
-    assert abs(d - r.midpoint) <= EPS
+    assert abs(d - (r.lower + r.upper) / 2) <= EPS
 
 
 def test_fp_argument_validation():
