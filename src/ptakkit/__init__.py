@@ -14,7 +14,6 @@ from .families import (
     cardinality_bound_family,
     cycle_edges,
     family_from_json_dict,
-    family_to_json_dict,
     hereditary_closure,
     is_full_powerset,
     maximal_cliques,
@@ -43,7 +42,6 @@ from .intervals import (
     MeasureBoundReport,
     NotApplicableError,
     helly_check,
-    measure,
     measure_lower_bound,
     random_system,
     trace_family,

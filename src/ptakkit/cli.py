@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every command emits a JSON report (stdout, or ``--out``).  Reports carry a
-sha256 digest of each input file and a timestamp; given identical inputs and
-seeds everything except the timestamp is byte-identical.  Exit codes: 0
-success, 1 verification failure, 2 usage error or malformed input.
+Every command emits a JSON report (stdout, or ``--out``); ``gen`` writes the
+generated file instead.  Input files must be UTF-8 JSON.  Each is read once,
+and the report records the sha256 digest of the bytes that were parsed under
+``inputs``, next to a timestamp; given identical inputs and seeds everything
+except the timestamp is byte-identical.  Exit codes: 0 success, 1
+verification failure, 2 usage error or malformed input, reported on one
+``ptakkit <command>: <message>`` line whose message starts with the path of
+the offending file, if there is one.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ from datetime import datetime, timezone
 from . import accel
 from .families import (
     GENERATOR_ALGORITHM,
-    FamilySpec,
     cardinality_bound_family,
     cycle_edges,
     family_from_json_dict,
     maximal_cliques,
     random_family,
-    realize,
     trace,
 )
 from .game import GameValueResult, delta_exact, fictitious_play, verify_certificate
@@ -42,32 +44,22 @@ class InputError(Exception):
     """Malformed input file; message carries a line/field diagnostic."""
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str) -> dict:
+def _load(inputs: dict, path: str, reader):
+    """``reader`` applied to the JSON in ``path``, whose digest goes into
+    ``inputs``.  Any failure to read, decode, parse (nesting too deep for the
+    stack included) or interpret the file is an InputError naming ``path``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        return reader(json.loads(data.decode("utf-8")))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _load(path: str, reader):
-    """``reader`` applied to the JSON in ``path``; bad content is an InputError."""
-    data = _load_json(path)
-    try:
-        return reader(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _load_family(path: str):
-    return _load(path, family_from_json_dict)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -82,189 +74,101 @@ def _write_json(payload: dict, out: str | None) -> None:
         raise InputError(f"--out {out}: {exc.strerror or exc}") from None
 
 
-def _emit(report: dict, out: str | None) -> None:
-    report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(report, out)
-
-
-def cmd_delta(args) -> int:
-    fam = _load_family(args.family)
+def cmd_delta(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
     res = delta_exact(fam)
-    verified = verify_certificate(fam, res)
-    report = {
-        "command": "delta",
-        "inputs": {args.family: _digest(args.family)},
-        "delta": format_rational(res.delta),
-        "certificate": res.to_json_dict(),
-        "pivots": res.pivots,
-        "verified": bool(verified),
-    }
-    _emit(report, args.out)
-    return EXIT_OK if verified else EXIT_VERIFY
+    verified = bool(verify_certificate(fam, res))
+    return verified, {"delta": format_rational(res.delta), "certificate": res.to_json_dict(),
+                      "pivots": res.pivots, "verified": verified}
 
 
-def cmd_certificate_verify(args) -> int:
-    fam = _load_family(args.family)
-    cert = _load(args.certificate, lambda d: GameValueResult.from_json_dict(d, validate=False))
+def cmd_certificate_verify(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
+    cert = _load(inputs, args.certificate,
+                 lambda d: GameValueResult.from_json_dict(d, validate=False))
     result = verify_certificate(fam, cert)
-    report = {
-        "command": "certificate-verify",
-        "inputs": {
-            args.family: _digest(args.family),
-            args.certificate: _digest(args.certificate),
-        },
-        "valid": result.ok,
-        "reason": result.reason,
-    }
-    _emit(report, args.out)
-    return EXIT_OK if result.ok else EXIT_VERIFY
+    return result.ok, {"valid": result.ok, "reason": result.reason}
 
 
-def cmd_norm(args) -> int:
-    fam = _load_family(args.family)
-    vec = _load(args.vector, FamilyVector.from_json_dict)
+def cmd_norm(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
+    vec = _load(inputs, args.vector, FamilyVector.from_json_dict)
     try:
         rep = check_equivalence(fam, vec)
     except ValueError as exc:
         raise InputError(f"{args.vector}: {exc}") from None
-    report = {
-        "command": "norm",
-        "inputs": {
-            args.family: _digest(args.family),
-            args.vector: _digest(args.vector),
-        },
-        "report": rep.to_json_dict(),
-    }
-    _emit(report, args.out)
     ok = rep.lower_ok and rep.upper_ok and rep.nonneg_ok is not False
-    return EXIT_OK if ok else EXIT_VERIFY
+    return ok, {"report": rep.to_json_dict()}
 
 
-def cmd_search(args) -> int:
-    fam = _load_family(args.family)
+def cmd_search(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
     res = max_member(fam, budget=args.budget)
     best = res if res.optimal else max_member(fam)
     bound = BoundReport(delta_exact(fam).delta, fam.n, best.size)
-    report = {
-        "command": "search",
-        "inputs": {args.family: _digest(args.family)},
-        "best": list(res.best),
-        "size": res.size,
-        "nodes_explored": res.nodes_explored,
-        "optimal": res.optimal,
-        "bound_check": bound.to_json_dict(),
-    }
-    _emit(report, args.out)
-    return EXIT_OK if bound.ok else EXIT_VERIFY
+    return bound.ok, {"best": list(res.best), "size": res.size,
+                      "nodes_explored": res.nodes_explored, "optimal": res.optimal,
+                      "bound_check": bound.to_json_dict()}
 
 
-def cmd_trace(args) -> int:
-    fam = _load_family(args.family)
+def cmd_trace(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
     try:
         subset = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
         result = trace(fam, subset)
     except ValueError as exc:
         raise InputError(f"--subset: {exc}") from None
-    report = {
-        "command": "trace",
-        "inputs": {args.family: _digest(args.family)},
-        "labels": list(result.labels),
-        "family": result.family.to_json_dict(),
-    }
-    _emit(report, args.out)
-    return EXIT_OK
+    return True, {"labels": list(result.labels), "family": result.family.to_json_dict()}
 
 
-def cmd_interval_bound(args) -> int:
-    system = _load(args.system, IntervalSystem.from_json_dict)
-    rep = measure_lower_bound(system)
-    report = {
-        "command": "interval-bound",
-        "inputs": {args.system: _digest(args.system)},
-        "report": rep.to_json_dict(),
-    }
-    _emit(report, args.out)
-    return EXIT_OK if rep.ok else EXIT_VERIFY
+def cmd_interval_bound(args, inputs):
+    rep = measure_lower_bound(_load(inputs, args.system, IntervalSystem.from_json_dict))
+    return rep.ok, {"report": rep.to_json_dict()}
 
 
-def cmd_oracle(args) -> int:
-    fam = _load_family(args.family)
-    try:
-        eps = parse_rational(args.epsilon)
-        res = fictitious_play(fam, args.max_iters, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_oracle(args, inputs):
+    fam = _load(inputs, args.family, family_from_json_dict)
+    res = fictitious_play(fam, args.max_iters, parse_rational(args.epsilon))
     exact = delta_exact(fam).delta
     contains = res.contains(exact)
-    report = {
-        "command": "oracle",
-        "inputs": {args.family: _digest(args.family)},
-        "lower": format_rational(res.lower),
-        "upper": format_rational(res.upper),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "exact": format_rational(exact),
-        "contains_exact": contains,
+    return contains and res.converged, {
+        "lower": format_rational(res.lower), "upper": format_rational(res.upper),
+        "iterations": res.iterations, "converged": res.converged,
+        "exact": format_rational(exact), "contains_exact": contains,
         "backend": accel.backend_name(),
     }
-    _emit(report, args.out)
-    return EXIT_OK if contains and res.converged else EXIT_VERIFY
 
 
-def cmd_gen(args) -> int:
-    provenance = {
-        "generator": args.kind,
-        "seed": args.seed,
-        "algorithm": GENERATOR_ALGORITHM,
-    }
-    try:
-        if args.kind == "cardinality":
-            if args.k is None:
-                raise InputError("--k is required for --kind cardinality")
-            fam = cardinality_bound_family(args.n, args.k)
-            payload = fam.to_json_dict()
-            provenance["params"] = {"n": args.n, "k": args.k}
-        elif args.kind == "cycle-cliques":
-            fam = maximal_cliques(args.n, cycle_edges(args.n))
-            payload = fam.to_json_dict()
-            provenance["params"] = {"n": args.n}
-        elif args.kind == "powerset":
-            fam = realize(FamilySpec(kind="cardinality_bound", n=args.n, k=args.n))
-            payload = fam.to_json_dict()
-            provenance["params"] = {"n": args.n}
-        elif args.kind == "random":
-            fam = random_family(args.seed, n=args.n, max_sets=args.max_sets)
-            payload = fam.to_json_dict()
-            provenance["params"] = {"n": args.n, "max_sets": args.max_sets}
-        elif args.kind == "intervals":
-            min_measure = parse_rational(args.min_measure)
-            system = random_system(args.seed, args.n, args.pieces, min_measure)
-            payload = system.to_json_dict()
-            provenance["params"] = {
-                "n": args.n,
-                "pieces": args.pieces,
-                "min_measure": format_rational(min_measure),
-            }
-        else:  # argparse choices make this unreachable
-            raise InputError(f"unknown kind {args.kind}")
-    except ValueError as exc:
-        print(f"ptakkit gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload["provenance"] = provenance
-    _write_json(payload, args.out)
-    return EXIT_OK
+def cmd_gen(args, inputs):
+    if args.kind == "cardinality":
+        if args.k is None:
+            raise InputError("--k is required for --kind cardinality")
+        payload = cardinality_bound_family(args.n, args.k).to_json_dict()
+        params = {"n": args.n, "k": args.k}
+    elif args.kind == "cycle-cliques":
+        payload = maximal_cliques(args.n, cycle_edges(args.n)).to_json_dict()
+        params = {"n": args.n}
+    elif args.kind == "powerset":
+        payload = cardinality_bound_family(args.n, args.n).to_json_dict()
+        params = {"n": args.n}
+    elif args.kind == "random":
+        payload = random_family(args.seed, n=args.n, max_sets=args.max_sets).to_json_dict()
+        params = {"n": args.n, "max_sets": args.max_sets}
+    else:
+        min_measure = parse_rational(args.min_measure)
+        payload = random_system(args.seed, args.n, args.pieces, min_measure).to_json_dict()
+        params = {"n": args.n, "pieces": args.pieces,
+                  "min_measure": format_rational(min_measure)}
+    payload["provenance"] = {"generator": args.kind, "seed": args.seed,
+                             "algorithm": GENERATOR_ALGORITHM, "params": params}
+    return True, payload
 
 
-def cmd_suite(args) -> int:
-    try:
-        eps = parse_rational(args.epsilon)
-        report = run_suite(args.seed, n=args.n, families=args.families,
-                           systems=args.systems, vectors=args.vectors,
-                           fp_iters=args.fp_iters, epsilon=eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    _emit(report, args.out)
-    return EXIT_OK if report["all_pass"] else EXIT_VERIFY
+def cmd_suite(args, inputs):
+    report = run_suite(args.seed, n=args.n, families=args.families,
+                       systems=args.systems, vectors=args.vectors,
+                       fp_iters=args.fp_iters, epsilon=parse_rational(args.epsilon))
+    return report["all_pass"], report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,52 +179,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def command(name, func, summary, files=()):
+        p = sub.add_parser(name, help=summary)
+        for flag in files:
+            p.add_argument(flag, required=True)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("delta", help="exact game value with certificate")
-    p.add_argument("--family", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_delta)
+    command("delta", cmd_delta, "exact game value with certificate", ["--family"])
+    command("certificate-verify", cmd_certificate_verify, "check a value certificate",
+            ["--family", "--certificate"])
+    command("norm", cmd_norm, "family norm and l1 sandwich report", ["--family", "--vector"])
 
-    p = sub.add_parser("certificate-verify", help="check a value certificate")
-    p.add_argument("--family", required=True)
-    p.add_argument("--certificate", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_certificate_verify)
-
-    p = sub.add_parser("norm", help="family norm and l1 sandwich report")
-    p.add_argument("--family", required=True)
-    p.add_argument("--vector", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("search", help="maximum member search with size guarantee")
-    p.add_argument("--family", required=True)
+    p = command("search", cmd_search, "maximum member search with size guarantee",
+                ["--family"])
     p.add_argument("--budget", type=int, default=None, help="node budget")
-    add_out(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("trace", help="trace the family to a label subset")
-    p.add_argument("--family", required=True)
+    p = command("trace", cmd_trace, "trace the family to a label subset", ["--family"])
     p.add_argument("--subset", required=True, help="comma-separated labels, e.g. 0,2,5")
-    add_out(p)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("interval-bound", help="measure lower bound of a system's trace")
-    p.add_argument("--system", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_interval_bound)
+    command("interval-bound", cmd_interval_bound,
+            "measure lower bound of a system's trace", ["--system"])
 
-    p = sub.add_parser("oracle", help="fictitious-play bracket cross-checked "
-                                      "against the exact value")
-    p.add_argument("--family", required=True)
+    p = command("oracle", cmd_oracle,
+                "fictitious-play bracket cross-checked against the exact value", ["--family"])
     p.add_argument("--epsilon", default="1/1000000")
     p.add_argument("--max-iters", type=int, default=10**6)
-    add_out(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gen", help="generate family or interval-system files")
+    p = command("gen", cmd_gen, "generate family or interval-system files")
     p.add_argument("--kind", required=True,
                    choices=["cardinality", "cycle-cliques", "powerset", "random", "intervals"])
     p.add_argument("--n", type=int, required=True)
@@ -329,31 +216,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pieces", type=int, default=1)
     p.add_argument("--min-measure", default="1/4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("suite", help="run the seeded invariant suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--families", type=int, default=24)
-    p.add_argument("--systems", type=int, default=8)
-    p.add_argument("--vectors", type=int, default=12)
-    p.add_argument("--fp-iters", type=int, default=200_000)
+    p = command("suite", cmd_suite, "run the seeded invariant suite")
+    for flag, default in [("--seed", 0), ("--n", 8), ("--families", 24), ("--systems", 8),
+                          ("--vectors", 12), ("--fp-iters", 200_000)]:
+        p.add_argument(flag, type=int, default=default)
     p.add_argument("--epsilon", default="1/1000000")
-    add_out(p)
-    p.set_defaults(func=cmd_suite)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: each ``cmd_*`` returns its verdict and report fields,
+    and any InputError or ValueError is exit 2 with a one-line message."""
+    args = build_parser().parse_args(argv)
+    inputs: dict = {}
     try:
-        return args.func(args)
-    except InputError as exc:
+        ok, report = args.func(args, inputs)
+        if args.command != "gen":  # gen writes the file it made, not a report
+            report = {**report, "command": args.command,
+                      "timestamp": datetime.now(timezone.utc).isoformat()}
+            if inputs:
+                report["inputs"] = inputs
+        _write_json(report, args.out)
+    except (InputError, ValueError) as exc:
         print(f"ptakkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -180,9 +180,6 @@ class TraceResult:
     family: HereditaryFamily
     labels: tuple[int, ...]
 
-    def original_sets(self) -> list[tuple[int, ...]]:
-        return [tuple(self.labels[i] for i in s) for s in self.family.maximal]
-
 
 def trace(fam: HereditaryFamily, subset: ElementSet) -> TraceResult:
     """Family of intersections with ``subset``, on the relabeled ground set.
@@ -265,20 +262,6 @@ class FamilySpec:
 
     KINDS = ("explicit", "cardinality_bound", "graph_cliques", "graph_independent", "interval_trace")
 
-    def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "interval_trace":
-            d["system"] = self.system.to_json_dict()
-            return d
-        d["n"] = self.n
-        if self.k is not None:
-            d["k"] = self.k
-        if self.edges is not None:
-            d["edges"] = [list(e) for e in self.edges]
-        if self.sets is not None:
-            d["sets"] = [list(s) for s in self.sets]
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilySpec":
         if not isinstance(d, dict):
@@ -342,43 +325,39 @@ def _adjacency(n: int, edges: Sequence[Sequence[int]]) -> list[int]:
 def _bron_kerbosch(n: int, adj: Sequence[int]) -> HereditaryFamily:
     """Maximal cliques of the graph with neighbour masks ``adj``, by pivoting
     Bron-Kerbosch in a deterministic order; more than ENUMERATION_LIMIT of
-    them is refused rather than listed."""
+    them is refused rather than listed.
+
+    The search keeps its own stack of (clique, candidates, excluded) masks, so
+    its depth is not bounded by the interpreter's recursion limit.
+    """
     out: list[int] = []
-    _expand(adj, out, 0, (1 << n) - 1, 0)
-    return hereditary_closure([mask_to_tuple(m) for m in out], n)
-
-
-def _expand(adj: Sequence[int], out: list[int], r: int, p: int, x: int) -> None:
-    """Append to ``out`` the maximal cliques that extend ``r`` by vertices of
-    ``p`` and by none of ``x``.  A module-level function rather than a nested
-    one, whose self-reference would keep each call's ``out`` alive until the
-    cyclic collector ran."""
-    if p == 0 and x == 0:
-        out.append(r)
-        if len(out) > ENUMERATION_LIMIT:
-            raise ValueError(f"Bron-Kerbosch found more than ENUMERATION_LIMIT = "
-                             f"{ENUMERATION_LIMIT} maximal cliques")
-        return
-    # pivot: vertex of P|X with most neighbours in P, smallest label on ties
-    best, best_deg = -1, -1
-    pool = p | x
-    u = 0
-    while pool:
-        if pool & 1:
-            deg = bin(p & adj[u]).count("1")
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if p == 0 and x == 0:
+            out.append(r)
+            if len(out) > ENUMERATION_LIMIT:
+                raise ValueError(f"Bron-Kerbosch found more than ENUMERATION_LIMIT = "
+                                 f"{ENUMERATION_LIMIT} maximal cliques")
+            continue
+        # pivot: vertex of P|X with most neighbours in P, smallest label on ties
+        best, best_deg = -1, -1
+        pool = p | x
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            deg = (p & adj[u]).bit_count()
             if deg > best_deg:
                 best, best_deg = u, deg
-        pool >>= 1
-        u += 1
-    cand = p & ~adj[best]
-    v = 0
-    while cand >> v:
-        if (cand >> v) & 1:
-            vb = 1 << v
-            _expand(adj, out, r | vb, p & adj[v], x & adj[v])
-            p &= ~vb
-            x |= vb
-        v += 1
+            pool ^= low
+        # The child of candidate v has the candidates below v moved from P to
+        # X; pushing the highest first expands them in ascending order.
+        cand = p & ~adj[best]
+        while cand:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append((r | 1 << v, p & ~cand & adj[v], (x | cand) & adj[v]))
+    return hereditary_closure([mask_to_tuple(m) for m in out], n)
 
 
 def maximal_cliques(n: int, edges: Sequence[Sequence[int]]) -> HereditaryFamily:
@@ -452,10 +431,6 @@ def random_family(seed: int, n: Optional[int] = None, max_sets: int = 40) -> Her
 
 # ---------------------------------------------------------------------------
 # file format
-
-
-def family_to_json_dict(fam: HereditaryFamily) -> dict:
-    return fam.to_json_dict()
 
 
 def family_from_json_dict(data: dict) -> HereditaryFamily:

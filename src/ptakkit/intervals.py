@@ -102,11 +102,6 @@ class IntervalSet:
         return cls.from_pieces(data)
 
 
-def measure(c: IntervalSet) -> Fraction:
-    """Total length of a canonical interval set (exact)."""
-    return c.measure()
-
-
 @dataclass(frozen=True)
 class IntervalSystem:
     """One interval set per ground-set label."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
 from .families import HereditaryFamily
 from .game import delta_exact
@@ -28,10 +28,6 @@ class FamilyVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
-
-    @classmethod
-    def of(cls, values: Iterable) -> "FamilyVector":
-        return cls(tuple(values))
 
     def to_json_dict(self) -> dict:
         return {"coords": [format_rational(c) for c in self.coords]}

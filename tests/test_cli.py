@@ -1,6 +1,12 @@
+import hashlib
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptakkit.cli
 import ptakkit.families
@@ -8,6 +14,7 @@ import ptakkit.search
 from ptakkit.cli import main
 from ptakkit.families import family_from_json_dict
 from ptakkit.intervals import IntervalSystem
+from ptakkit.rationals import format_rational
 
 
 def run(capsys, *argv):
@@ -101,6 +108,24 @@ def test_delta_reports_exact_value(family_file, capsys):
     assert rep["verified"] is True
     assert rep["certificate"]["delta"] == "2/5"
     assert str(family_file) in rep["inputs"]
+
+
+def test_inputs_hold_sha256_of_file_bytes(family_file, tmp_path, capsys):
+    fam = tmp_path / "crlf.json"
+    fam.write_bytes(family_file.read_bytes().replace(b"\n", b"\r\n"))
+    rc, out, _ = run(capsys, "delta", "--family", str(fam))
+    assert rc == 0
+    digest = "sha256:" + hashlib.sha256(fam.read_bytes()).hexdigest()
+    assert report_of(out)["inputs"] == {str(fam): digest}
+
+
+def test_delta_on_a_clique_deeper_than_the_recursion_limit(tmp_path, capsys):
+    fam = tmp_path / "big.json"
+    fam.write_text(json.dumps({"spec": {"kind": "graph_independent", "n": 1200}}))
+    rc, out, _ = run(capsys, "delta", "--family", str(fam))
+    assert rc == 0
+    rep = report_of(out)
+    assert rep["delta"] == "1/1" and rep["verified"] is True
 
 
 def test_certificate_verify_round_trip(family_file, tmp_path, capsys):
@@ -358,6 +383,31 @@ def test_non_object_input_file_exit_2(family_file, tmp_path, capsys, command, fl
     assert str(bad) in err and "must contain a JSON object" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("delta", "--family"),
+    ("certificate-verify", "--certificate"),
+    ("norm", "--vector"),
+    ("interval-bound", "--system"),
+])
+def test_non_utf8_input_file_exit_2(family_file, tmp_path, capsys, command, flag):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"n": 2, "maximal": [[0, 1]], "note": "\u00e9"}'.encode("latin-1"))
+    argv = [command, flag, str(bad)]
+    if flag != "--family" and command != "interval-bound":
+        argv += ["--family", str(family_file)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"ptakkit {command}: {bad}: " in err and "utf-8" in err
+
+
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 50_000 + "]" * 50_000)
+    rc, out, err = run(capsys, "delta", "--family", str(bad))
+    assert rc == 2 and out == ""
+    assert f"ptakkit delta: {bad}: " in err
+
+
 def test_gen_oversized_cardinality_exit_2(tmp_path, capsys):
     out = tmp_path / "fam.json"
     rc, _, err = run(capsys, "gen", "--kind", "cardinality", "--n", "60", "--k", "30",
@@ -374,3 +424,128 @@ def test_oversized_clique_enumeration_exit_2(tmp_path, capsys, monkeypatch):
     rc, out, err = run(capsys, "delta", "--family", str(fam))
     assert rc == 2 and out == ""
     assert str(fam) in err and "ENUMERATION_LIMIT = 100" in err
+
+
+# --- every input file format, fuzzed ---------------------------------------------------
+# Each document is drawn well formed for a ground set of n <= 8 labels (at most
+# 12 sets), with a bad rational now and then.  Three in seven are kept as they
+# are; the others lose a key, get a value of the wrong type, or are replaced by
+# arbitrary JSON or by arbitrary bytes.
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+BAD_RATIONAL = st.sampled_from(["1/0", "x", "", "1/-2", "0.5.1"]) | st.floats()
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+def _bad_if_zero(drawn):
+    value, roll, bad = drawn
+    return bad if roll == 0 else value
+
+
+def sometimes_bad(good):
+    """``good``, or one time in forty a malformed rational."""
+    return st.tuples(good, st.integers(0, 39), BAD_RATIONAL).map(_bad_if_zero)
+
+
+def _piece(drawn):
+    ends, roll, bad = drawn
+    out = [format_rational(e) for e in sorted(ends)]
+    if roll < 2:
+        out[roll] = bad
+    return out
+
+
+def system(n):
+    piece = st.tuples(st.tuples(UNIT, UNIT), st.integers(0, 79), BAD_RATIONAL).map(_piece)
+    return st.fixed_dictionaries({"sets": st.lists(st.lists(piece, max_size=3),
+                                                   min_size=n, max_size=n)},
+                                 optional={"n": st.just(n)})
+
+
+def family(n):
+    labels = st.integers(0, n - 1)
+    sets = st.lists(st.lists(labels, min_size=1, max_size=n), max_size=12)
+    edges = st.lists(st.lists(labels, min_size=2, max_size=2), max_size=12)
+    spec = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("explicit"), "n": st.just(n), "sets": sets}),
+        st.fixed_dictionaries({"kind": st.just("cardinality_bound"), "n": st.just(n),
+                               "k": st.integers(0, n)}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["graph_cliques", "graph_independent"]),
+                               "n": st.just(n), "edges": edges}),
+        st.fixed_dictionaries({"kind": st.just("interval_trace"), "system": system(n)}),
+    )
+    return (st.fixed_dictionaries({"n": st.just(n), "maximal": sets})
+            | st.fixed_dictionaries({"spec": spec}))
+
+
+def certificate(n):
+    unit = sometimes_bad(UNIT.map(format_rational))
+
+    def weights(keys):
+        return st.dictionaries(keys.map(str), unit, max_size=12)
+    return st.fixed_dictionaries({"delta": unit,
+                                  "primal": weights(st.integers(0, n - 1)),
+                                  "dual": weights(st.integers(0, 11))})
+
+
+def vector(n):
+    coord = sometimes_bad(st.fractions(min_value=-2, max_value=2,
+                                       max_denominator=12).map(format_rational))
+    return st.fixed_dictionaries({"coords": st.lists(coord, min_size=n, max_size=n)})
+
+
+FILES = {(command, n): flags for n in range(1, 9) for command, flags in [
+    ("delta", {"--family": family(n)}),
+    ("certificate-verify", {"--family": family(n), "--certificate": certificate(n)}),
+    ("norm", {"--family": family(n), "--vector": vector(n)}),
+    ("interval-bound", {"--system": system(n)}),
+]}
+VERDICT = {
+    "delta": lambda rep: rep["verified"],
+    "certificate-verify": lambda rep: rep["valid"],
+    "norm": lambda rep: (rep["report"]["lower_ok"] and rep["report"]["upper_ok"]
+                         and rep["report"]["nonneg_ok"] is not False),
+    "interval-bound": lambda rep: rep["report"]["ok"],
+}
+
+
+@st.composite
+def encoded(draw, documents):
+    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "retype", "junk", "bytes"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=64))
+    doc = draw(JUNK) if how == "junk" else draw(documents)
+    if how in ("drop", "retype"):
+        key = draw(st.sampled_from(sorted(doc)))
+        if how == "drop":
+            del doc[key]
+        else:
+            doc[key] = draw(JUNK)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_input_files_exit_0_1_or_2(data):
+    command, n = data.draw(st.sampled_from(sorted(FILES)))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, documents in FILES[command, n].items():
+            path = os.path.join(tmp, flag[2:] + ".json")
+            with open(path, "wb") as fh:
+                fh.write(data.draw(encoded(documents), label=flag))
+            argv += [flag, path]
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"ptakkit {command}: ")
+    else:
+        assert bool(VERDICT[command](json.loads(out.getvalue()))) == (rc == 0)

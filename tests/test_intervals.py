@@ -11,7 +11,6 @@ from ptakkit.intervals import (
     NotApplicableError,
     direct_intersection,
     helly_check,
-    measure,
     measure_lower_bound,
     random_system,
     trace_family,
@@ -32,16 +31,16 @@ def brute_membership(sysm, labels):
 # --- IntervalSet -----------------------------------------------------------------
 
 def test_measure_single_piece():
-    assert measure(IntervalSet(((F(0), F(1, 2)),))) == F(1, 2)
+    assert IntervalSet(((F(0), F(1, 2)),)).measure() == F(1, 2)
 
 
 def test_measure_additive():
     s = IntervalSet(((F(0), F(1, 4)), (F(1, 2), F(3, 4))))
-    assert measure(s) == F(1, 2)
+    assert s.measure() == F(1, 2)
 
 
 def test_measure_degenerate_point():
-    assert measure(IntervalSet(((F(1, 3), F(1, 3)),))) == 0
+    assert IntervalSet(((F(1, 3), F(1, 3)),)).measure() == 0
 
 
 def test_canonicalization_sorts_merges_touching():

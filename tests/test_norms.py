@@ -258,7 +258,7 @@ def test_basis_norms_match_fnorm_of_unit_vectors():
 # --- FamilyVector serialization ---------------------------------------------------------
 
 def test_vector_json_round_trip():
-    vec = FamilyVector.of([F(1, 3), F(-2), F(0)])
+    vec = FamilyVector((F(1, 3), F(-2), F(0)))
     data = vec.to_json_dict()
     assert data == {"coords": ["1/3", "-2/1", "0/1"]}
     assert FamilyVector.from_json_dict(data) == vec
