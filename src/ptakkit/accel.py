@@ -4,26 +4,38 @@ Algorithm: alternating fictitious play with least-played tie-breaking.  Any
 probability weighting certifies a bound (its worst case is evaluated
 exactly), so the kernel keeps the best bound seen from (a) the running
 empirical averages at every iteration and (b) at doubling checkpoints, the
-averages snapped to every denominator up to ``SNAP_QMAX`` by largest-
-remainder rounding.  Games on 0/1 matrices have simple rational equilibria,
-so a snapped average typically hits one exactly and the bracket collapses
-to zero width.  All bookkeeping is int64; the returned bounds are exact
-integer fractions and only the stopping test uses floats (with a safety
-margin; the caller re-checks exactly).
+averages snapped to denominators up to ``SNAP_QMAX`` by largest-remainder
+rounding.  Games on 0/1 matrices have simple rational equilibria, so a
+snapped average typically hits one exactly and the bracket collapses to zero
+width.  All bookkeeping is in integers (int64 arrays and Python ints); the
+returned bounds are exact integer fractions and only the stopping test uses
+floats (with a safety margin; the caller re-checks exactly).
 
 The play loop keeps one tie key per strategy, ``pay * big - count`` for
 rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
-count.  A single ``argmax``/``argmin`` then picks the best-paying, least-
-played, lowest-index strategy, and the key's high digits are the payoff
-bound, so an iteration adds one precomputed ``big * M`` row to each key
-vector and reads everything else off the keys.  The counts are the keys'
-low digits and are recovered only at checkpoints.
+count.  Picking the largest row key or the smallest column key (the first
+one on ties) picks the best-paying, least-played, lowest-index strategy, and
+the key's high digits are the payoff bound, so an iteration adds ``big`` to
+the chosen set's labels and one precomputed ``big * M[:, j]`` column to the
+row keys, and reads everything else off the keys.  The column keys are a
+Python list (there is one per label, and few labels); the row keys, one per
+maximal set, are an int64 array updated in place.  The counts are the keys'
+low digits and are recovered only at checkpoints.  The float width test runs
+only when a bound moved.
 
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
 next checkpoint (or ``max_iters``).  A checkpoint snaps each player's counts
-for a block of ``q`` values at once (floor, stable argsort ranks for the
-remainders, one int64 matmul).  numpy is imported inside the functions that
-use it, so importing the package does not load it.
+only for the ``q`` that can still move that player's bound: a snapped lower
+bound ``num/q`` cannot exceed the current upper bound, so unless some
+``num/q`` lies strictly above the lower bound and at most the upper bound,
+``q`` is skipped (and symmetrically for the upper bound).  Once the bracket
+closes, no ``q`` survives.  The survivors go in blocks of ``_SNAP_BLOCK``,
+each rounded at once over the played strategies (floor and remainder by one
+``divmod``, then one more for each remainder above the ``deficit``-th
+largest and for the lowest-index ones tied with it until the deficit is
+met) and evaluated by one int64 matmul.
+numpy is imported inside the functions that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -42,27 +54,44 @@ def snapped_counts(counts, k, qs):
     """
     import numpy as np
 
-    scaled = counts[None, :] * qs[:, None]
-    snapped = scaled // k
+    snapped, rem = np.divmod(counts[None, :] * qs[:, None], k)
     deficit = qs - snapped.sum(axis=1)
-    order = np.argsort(snapped * k - scaled, axis=1, kind="stable")
-    rows = np.arange(len(qs))[:, None]
-    snapped[rows, order] += np.arange(counts.shape[0]) < deficit[:, None]
+    # the deficit-th largest remainder (remainders sum to deficit * k, so a
+    # deficit of 0 means they are all 0, and so is the cut)
+    rows = np.arange(len(qs))
+    cut = np.sort(rem, axis=1)[rows, counts.shape[0] - np.maximum(deficit, 1)][:, None]
+    above = rem > cut
+    tied = rem == cut
+    spare = (deficit - above.sum(axis=1))[:, None]  # tied strategies still owed +1
+    snapped += above | (tied & (np.cumsum(tied, axis=1) <= spare))
     return snapped
 
 
-def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d):
+def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, other_d=1):
     """Fold the snapped strategies' exact worst cases into the best bound.
 
     ``pay`` maps the player's weights to the opponent's payoffs (``M`` for
     the row player, ``M.T`` for the column player); each snap to ``q``
-    certifies ``min`` (lower) or ``max`` (upper) of them over ``q``.
+    certifies ``min`` (lower) or ``max`` (upper) of them over ``q``.  That
+    fraction cannot pass ``other_n/other_d``, the opposite bound (by default
+    the trivial 1 or 0, as payoffs are 0/1), so a ``q`` is snapped only if
+    some ``num/q`` lies strictly past the best and not past the opposite
+    bound; no other ``q`` could replace the best.
     """
     import numpy as np
 
+    if other_n is None:
+        other_n = 1 if is_lower else 0
     sign = 1 if is_lower else -1  # a lower bound improves upwards
-    for q0 in range(1, SNAP_QMAX + 1, _SNAP_BLOCK):
-        qs = np.arange(q0, min(q0 + _SNAP_BLOCK, SNAP_QMAX + 1), dtype=np.int64)
+    qs = range(1, SNAP_QMAX + 1)
+    if is_lower:  # floor(other * q) must beat the best
+        live = [q for q in qs if other_n * q // other_d * best_d > best_n * q]
+    else:  # and ceil(other * q) for an upper bound
+        live = [q for q in qs if -(-other_n * q // other_d) * best_d < best_n * q]
+    played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
+    counts, pay = counts[played], pay[played]
+    for b in range(0, len(live), _SNAP_BLOCK):
+        qs = np.array(live[b:b + _SNAP_BLOCK], dtype=np.int64)
         out = snapped_counts(counts, k, qs) @ pay
         nums = out.min(axis=1) if is_lower else out.max(axis=1)
         for q, num in zip(qs.tolist(), nums.tolist()):
@@ -72,7 +101,7 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d):
 
 
 def fp_bracket(M, max_iters, eps):
-    """Bracket the game value of incidence matrix ``M``.
+    """Bracket the game value of the 0/1 incidence matrix ``M``.
 
     Row player (maximal sets) maximizes, column player (labels) minimizes.
     Returns ``(low_num, low_den, up_num, up_den, iterations)`` with the
@@ -81,10 +110,10 @@ def fp_bracket(M, max_iters, eps):
     import numpy as np
 
     big = int(max_iters) + 1  # dominates any play count in the tie keys
-    bigM = M * big
-    bigMT = np.ascontiguousarray(bigM.T)
+    set_labels = [np.flatnonzero(row).tolist() for row in M]
+    label_pay = list(np.ascontiguousarray(M.T * big))  # big * M[:, j] per label
     row_key = np.zeros(M.shape[0], np.int64)  # row_pay * big - row_cnt
-    col_key = np.zeros(M.shape[1], np.int64)  # col_pay * big + col_cnt
+    col_key = [0] * M.shape[1]  # col_pay * big + col_cnt
     low_n, low_d, up_n, up_d = 0, 1, 1, 1
     margin = eps * (1.0 - 1e-9)
     next_cp = _CHECKPOINT_START
@@ -94,23 +123,29 @@ def fp_bracket(M, max_iters, eps):
         while k < stop:
             k += 1
             row_key[i] -= 1
-            col_key += bigM[i]
-            j = col_key.argmin()  # least pay, least played, lowest index
-            col_key[j] += 1
-            row_key += bigMT[j]
-            i = row_key.argmax()  # best pay, least played, lowest index
-            lo = col_key[j] // big
-            up = -(-row_key[i] // big)
-            # cross-multiplied comparisons keep the running bests exact
+            for c in set_labels[i]:
+                col_key[c] += big
+            key = min(col_key)
+            j = col_key.index(key)  # least pay, least played, lowest index
+            col_key[j] = key + 1
+            np.add(row_key, label_pay[j], out=row_key)
+            i = int(row_key.argmax())  # best pay, least played, lowest index
+            lo = key // big
+            up = -(-row_key.item(i) // big)
+            # cross-multiplied comparisons keep the running bests exact; the
+            # width changes only with a bound, and is first tested at k == 1
+            moved = k == 1
             if up * up_d < up_n * k:
-                up_n, up_d = up, k
+                up_n, up_d, moved = up, k, True
             if lo * low_d > low_n * k:
-                low_n, low_d = lo, k
-            if up_n / up_d - low_n / low_d <= margin:
+                low_n, low_d, moved = lo, k, True
+            if moved and up_n / up_d - low_n / low_d <= margin:
                 return low_n, low_d, up_n, up_d, k
         next_cp *= 2
-        low_n, low_d = _snap_checkpoint(-row_key % big, k, M, True, low_n, low_d)
-        up_n, up_d = _snap_checkpoint(col_key % big, k, M.T, False, up_n, up_d)
+        low_n, low_d = _snap_checkpoint(-row_key % big, k, M, True, low_n, low_d,
+                                        up_n, up_d)
+        up_n, up_d = _snap_checkpoint(np.array(col_key, np.int64) % big, k, M.T, False,
+                                      up_n, up_d, low_n, low_d)
         if up_n / up_d - low_n / low_d <= margin:
             break
     return low_n, low_d, up_n, up_d, k

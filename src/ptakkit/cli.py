@@ -62,6 +62,14 @@ def _load(inputs: dict, path: str, reader):
         raise InputError(f"{path}: {exc}") from None
 
 
+def _rational_flag(flag: str, text: str):
+    """``text`` as a rational; a malformed one is an InputError naming ``flag``."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from None
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if not out:
@@ -128,7 +136,7 @@ def cmd_interval_bound(args, inputs):
 
 def cmd_oracle(args, inputs):
     fam = _load(inputs, args.family, family_from_json_dict)
-    res = fictitious_play(fam, args.max_iters, parse_rational(args.epsilon))
+    res = fictitious_play(fam, args.max_iters, _rational_flag("--epsilon", args.epsilon))
     exact = delta_exact(fam).delta
     contains = res.contains(exact)
     return contains and res.converged, {
@@ -155,7 +163,7 @@ def cmd_gen(args, inputs):
         payload = random_family(args.seed, n=args.n, max_sets=args.max_sets).to_json_dict()
         params = {"n": args.n, "max_sets": args.max_sets}
     else:
-        min_measure = parse_rational(args.min_measure)
+        min_measure = _rational_flag("--min-measure", args.min_measure)
         payload = random_system(args.seed, args.n, args.pieces, min_measure).to_json_dict()
         params = {"n": args.n, "pieces": args.pieces,
                   "min_measure": format_rational(min_measure)}
@@ -167,7 +175,8 @@ def cmd_gen(args, inputs):
 def cmd_suite(args, inputs):
     report = run_suite(args.seed, n=args.n, families=args.families,
                        systems=args.systems, vectors=args.vectors,
-                       fp_iters=args.fp_iters, epsilon=parse_rational(args.epsilon))
+                       fp_iters=args.fp_iters,
+                       epsilon=_rational_flag("--epsilon", args.epsilon))
     return report["all_pass"], report
 
 

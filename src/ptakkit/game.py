@@ -328,7 +328,9 @@ def fictitious_play(fam: HereditaryFamily, max_iters: int,
     if not fam.maximal:
         return FictitiousPlayResult(lower=ZERO, upper=ZERO, iterations=0, converged=True)
     M = incidence_matrix(fam)
-    lo_n, lo_d, up_n, up_d, iters = accel.fp_bracket(M, max_iters, float(epsilon))
+    # the width never exceeds 1, so every epsilon >= 2 stops alike; clamping
+    # first keeps float() from overflowing on a huge one
+    lo_n, lo_d, up_n, up_d, iters = accel.fp_bracket(M, max_iters, float(min(epsilon, 2)))
     lower = Fraction(int(lo_n), int(lo_d))
     upper = Fraction(int(up_n), int(up_d))
     converged = (upper - lower) <= epsilon

@@ -9,11 +9,13 @@ as ``"1/1"``).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value) -> Fraction:
@@ -40,9 +42,15 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``; raises ValueError on malformed input."""
+    """Parse ``"p/q"`` or ``"p"``: an optional sign, digits, and optionally
+    ``/`` and digits.  Anything else raises ValueError, decimals and
+    exponents included (``"1e30000000"`` would make ``Fraction`` build a
+    number of thirty million digits)."""
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}: expected p or p/q in decimal digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
 

@@ -8,7 +8,7 @@ import pytest
 
 from ptakkit import accel
 from ptakkit.families import cardinality_bound_family, random_family
-from ptakkit.game import fictitious_play
+from ptakkit.game import delta_exact, fictitious_play, incidence_matrix
 
 def test_import_does_not_load_numpy():
     # numpy is loaded only when the play oracle first runs
@@ -60,8 +60,65 @@ def test_checkpoint_folds_the_best_snap():
     assert Fraction(num, den) == best
 
 
+def test_snaps_match_fraction_reference_on_seeded_counts():
+    rng = np.random.default_rng(11)
+    seen = {"zero count": 0, "deficit 0": 0, "deficit > 0": 0}
+    for t in range(200):
+        m = int(rng.integers(1, 1001)) if t % 10 == 0 else int(rng.integers(1, 40))
+        counts = rng.integers(0, 1 + int(rng.integers(1, 50)), size=m)
+        counts[rng.random(m) < 0.3] = 0
+        counts[int(rng.integers(m))] += 1  # k > 0
+        k = int(counts.sum())
+        qs = sorted({int(q) for q in rng.integers(1, accel.SNAP_QMAX + 1, size=4)}
+                    | ({k} if k <= accel.SNAP_QMAX else set()))
+        snapped = accel.snapped_counts(counts, k, np.array(qs, dtype=np.int64))
+        for q, row in zip(qs, snapped.tolist()):
+            assert row == reference_snap(counts.tolist(), k, q), (t, q)
+            exact = all(c * q % k == 0 for c in counts.tolist())
+            seen["deficit 0" if exact else "deficit > 0"] += 1
+        seen["zero count"] += bool((counts == 0).any())
+    assert all(seen.values()), seen
+
+
+def full_fold(counts, k, pay, is_lower, best_n, best_d):
+    """The unpruned fold: every q up to SNAP_QMAX, in increasing order."""
+    sign = 1 if is_lower else -1
+    qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
+    out = accel.snapped_counts(counts, k, qs) @ pay
+    for q, num in zip(qs.tolist(), (out.min(axis=1) if is_lower else out.max(axis=1)).tolist()):
+        if sign * (num * best_d - best_n * q) > 0:
+            best_n, best_d = num, q
+    return best_n, best_d
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
+    fam = random_family(seed, n=None, max_sets=25)
+    M = incidence_matrix(fam)
+    delta = delta_exact(fam).delta
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        for is_lower, pay in ((True, M), (False, M.T)):
+            counts = rng.integers(0, 30, size=pay.shape[0]).astype(np.int64)
+            counts[0] += 1
+            k = int(counts.sum())
+            start = (0, 1) if is_lower else (1, 1)
+            # opposite bounds: the value itself, and a looser valid one
+            for other in (delta, (delta + (1 if is_lower else 0)) / 2):
+                got = accel._snap_checkpoint(counts, k, pay, is_lower, *start,
+                                             other.numerator, other.denominator)
+                assert got == full_fold(counts, k, pay, is_lower, *start)
+            # a closed bracket leaves no q to snap
+            with monkeypatch.context() as patch:
+                patch.setattr(accel, "snapped_counts", None)
+                bound = delta.numerator, delta.denominator
+                assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
+
+
 # Values taken from the per-q snapping kernel this batched one replaced.
 WORKER_GOLDEN = {
+    1: [["0", "1", 1, False], ["0", "1", 1, False], ["0", "1", 1, False], ["1", "1", 1, True],
+        ["0", "0", 1, True], ["0", "1", 1, False], ["0", "1", 1, False], ["0", "1", 1, False]],
     3: [["1/3", "1/2", 3, False], ["1/2", "2/3", 3, False], ["1/2", "1/2", 2, True],
         ["1", "1", 1, True], ["0", "0", 1, True], ["1/2", "1", 3, False],
         ["0", "1/3", 3, False], ["1/3", "1/2", 3, False]],
@@ -76,11 +133,12 @@ CARDINALITY_GOLDEN = {
     (11, 5, 3): ["0", "1", 3, False],
     (11, 5, 130): ["19/43", "5/11", 130, False],
     (11, 5, 10**6): ["5/11", "5/11", 4096, True],
+    (12, 7, 10**6): ["154726/265245", "7/12", 265245, True],
 }
 
 
-def summary(fam, max_iters):
-    r = fictitious_play(fam, max_iters, Fraction(1, 10**6))
+def summary(fam, max_iters, epsilon=Fraction(1, 10**6)):
+    r = fictitious_play(fam, max_iters, epsilon)
     return [str(r.lower), str(r.upper), r.iterations, r.converged]
 
 
@@ -94,3 +152,10 @@ def test_worker_families_match_golden(max_iters):
 def test_cardinality_families_match_golden(n, k, max_iters):
     got = summary(cardinality_bound_family(n, k), max_iters)
     assert got == CARDINALITY_GOLDEN[n, k, max_iters]
+
+
+def test_worker_families_stop_after_one_play_at_epsilon_2():
+    # the bracket is at most 1 wide, so epsilon 2 stops at the first test
+    got = [summary(random_family(seed, n=None, max_sets=25), 10**6, Fraction(2))
+           for seed in range(8)]
+    assert got == [[lo, up, 1, True] for lo, up, _, _ in WORKER_GOLDEN[1]]

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -220,6 +221,16 @@ def test_oracle_command(family_file, capsys):
     assert rep["exact"] == "2/5"
 
 
+HUGE_EPSILON = "1" + "0" * 400  # too large for a float
+
+
+def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
+    runs = [run(capsys, "oracle", "--family", str(family_file), "--epsilon", eps)
+            for eps in (HUGE_EPSILON, "2")]
+    assert runs[0][0] == runs[1][0] == 0
+    assert strip_timestamp(runs[0][1]) == strip_timestamp(runs[1][1])
+
+
 # --- suite ------------------------------------------------------------------------------
 
 def test_suite_deterministic_and_green(tmp_path, capsys):
@@ -234,11 +245,25 @@ def test_suite_deterministic_and_green(tmp_path, capsys):
     assert all(c["pass"] for c in rep["checks"].values())
 
 
+def test_suite_huge_epsilon_reports_like_epsilon_2(capsys):
+    args = ["suite", "--n", "6", "--families", "8", "--systems", "4", "--vectors", "6",
+            "--fp-iters", "50000"]
+    reports = []
+    for eps in (HUGE_EPSILON, "2"):
+        rc, out, _ = run(capsys, *args, "--epsilon", eps)
+        assert rc == 0
+        rep = report_of(out)
+        del rep["timestamp"], rep["parameters"]["epsilon"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--families", "0"),
     ("--fp-iters", "0"),
     ("--fp-iters", "1000000001"),
     ("--epsilon", "0"),
+    ("--epsilon", "0.5"),
     ("--n", "0"),
     ("--n", "-1"),
     ("--systems", "-1"),
@@ -306,6 +331,17 @@ def test_bad_rational_in_vector_exit_2(family_file, tmp_path, capsys, coord):
     vec.write_text(json.dumps({"coords": [coord, "1/1", "1/1", "1/1", "1/1"]}))
     rc, _, err = run(capsys, "norm", "--family", str(family_file), "--vector", str(vec))
     assert rc == 2 and str(vec) in err and str(coord) in err
+
+
+@pytest.mark.parametrize("coord", ["1e30000000", "0.5", "1_000"])
+def test_rational_with_exponent_decimal_point_or_underscore_exit_2(
+        family_file, tmp_path, capsys, coord):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"coords": [coord, "1/1", "1/1", "1/1", "1/1"]}))
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "norm", "--family", str(family_file), "--vector", str(vec))
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and str(vec) in err and coord in err
 
 
 def test_float_in_certificate_exit_2(family_file, tmp_path, capsys):
