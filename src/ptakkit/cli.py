@@ -28,7 +28,8 @@ from .families import (
     random_family,
     trace,
 )
-from .game import GameValueResult, delta_exact, fictitious_play, verify_certificate
+from .game import (MAX_PLAY_ITERS, GameValueResult, delta_exact, fictitious_play,
+                   verify_certificate)
 from .intervals import IntervalSystem, measure_lower_bound, random_system
 from .norms import FamilyVector, check_equivalence
 from .rationals import format_rational, parse_rational
@@ -110,6 +111,8 @@ def cmd_norm(args, inputs):
 
 
 def cmd_search(args, inputs):
+    if args.budget is not None and args.budget < 0:
+        raise InputError(f"--budget must be at least 0, got {args.budget}")
     fam = _load(inputs, args.family, family_from_json_dict)
     res = max_member(fam, budget=args.budget)
     best = res if res.optimal else max_member(fam)
@@ -135,8 +138,13 @@ def cmd_interval_bound(args, inputs):
 
 
 def cmd_oracle(args, inputs):
+    epsilon = _rational_flag("--epsilon", args.epsilon)
+    if epsilon <= 0:
+        raise InputError(f"--epsilon must be positive, got {args.epsilon}")
+    if not 1 <= args.max_iters <= MAX_PLAY_ITERS:
+        raise InputError(f"--max-iters must be in [1, {MAX_PLAY_ITERS}], got {args.max_iters}")
     fam = _load(inputs, args.family, family_from_json_dict)
-    res = fictitious_play(fam, args.max_iters, _rational_flag("--epsilon", args.epsilon))
+    res = fictitious_play(fam, args.max_iters, epsilon)
     exact = delta_exact(fam).delta
     contains = res.contains(exact)
     return contains and res.converged, {

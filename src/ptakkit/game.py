@@ -20,27 +20,43 @@ from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 
 
 @dataclass(frozen=True)
-class ConvexMean:
-    """Finitely supported probability weighting of ground-set labels.
+class _Weighting:
+    """Finitely supported weighting of nonnegative integer keys.
 
-    Zero weights are dropped; with ``validate=True`` (the default) weights
-    must be nonnegative and sum to exactly 1.
+    Zero weights are dropped; with ``validate=True`` (the default) the keys
+    and weights must be nonnegative and the weights sum to exactly 1.
+    Subclasses name the weighting and its keys (``_noun``, ``_key``).
     """
 
     weights: Mapping[int, Fraction]
     validate: InitVar[bool] = True
 
+    _allows_empty = False
+
     def __post_init__(self, validate: bool):
-        cleaned = {int(s): as_fraction(w) for s, w in self.weights.items()}
-        cleaned = {s: w for s, w in cleaned.items() if w != 0}
+        cleaned = {int(k): as_fraction(w) for k, w in self.weights.items()}
+        cleaned = {k: w for k, w in cleaned.items() if w != 0}
         object.__setattr__(self, "weights", cleaned)
-        if validate:
+        if validate and (cleaned or not self._allows_empty):
             if any(w < 0 for w in cleaned.values()):
-                raise ValueError("mean weights must be nonnegative")
+                raise ValueError(f"{self._noun} weights must be nonnegative")
             if sum(cleaned.values(), ZERO) != 1:
-                raise ValueError("mean weights must sum to exactly 1")
-            if any(s < 0 for s in cleaned):
-                raise ValueError("negative label in mean support")
+                raise ValueError(f"{self._noun} weights must sum to exactly 1")
+            if any(k < 0 for k in cleaned):
+                raise ValueError(f"negative {self._key} in {self._noun} support")
+
+    def to_json_dict(self) -> dict:
+        return {str(k): format_rational(w) for k, w in sorted(self.weights.items())}
+
+    @classmethod
+    def from_json_dict(cls, d: Mapping[str, str], validate: bool = True):
+        return cls({int(k): as_fraction(w) for k, w in d.items()}, validate=validate)
+
+
+class ConvexMean(_Weighting):
+    """Probability weighting of ground-set labels."""
+
+    _noun, _key = "mean", "label"
 
     @property
     def support(self) -> frozenset[int]:
@@ -56,41 +72,16 @@ class ConvexMean:
     def point_mass(cls, label: int) -> "ConvexMean":
         return cls({label: ONE})
 
-    def to_json_dict(self) -> dict:
-        return {str(s): format_rational(w) for s, w in sorted(self.weights.items())}
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping[str, str], validate: bool = True) -> "ConvexMean":
-        return cls({int(s): as_fraction(w) for s, w in d.items()}, validate=validate)
-
-
-@dataclass(frozen=True)
-class FractionalCover:
+class FractionalCover(_Weighting):
     """Probability weighting of the maximal sets, keyed by antichain index.
 
     An empty cover is only meaningful for the family whose sole member is
     the empty set (there is nothing to weight); validation allows it.
     """
 
-    weights: Mapping[int, Fraction]
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool):
-        cleaned = {int(i): as_fraction(w) for i, w in self.weights.items()}
-        cleaned = {i: w for i, w in cleaned.items() if w != 0}
-        object.__setattr__(self, "weights", cleaned)
-        if validate and cleaned:
-            if any(w < 0 for w in cleaned.values()):
-                raise ValueError("cover weights must be nonnegative")
-            if sum(cleaned.values(), ZERO) != 1:
-                raise ValueError("cover weights must sum to exactly 1")
-
-    def to_json_dict(self) -> dict:
-        return {str(i): format_rational(w) for i, w in sorted(self.weights.items())}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping[str, str], validate: bool = True) -> "FractionalCover":
-        return cls({int(i): as_fraction(w) for i, w in d.items()}, validate=validate)
+    _noun, _key = "cover", "index"
+    _allows_empty = True
 
 
 @dataclass(frozen=True)

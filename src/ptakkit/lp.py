@@ -1,12 +1,12 @@
 """Exact simplex on an integer-preserving tableau, with Bland's pivot rule.
 
-Two entry points:
+One two-phase method, :func:`_two_phase`, over mixed ``<= / == / >=`` rows,
+with two entry points:
 
+* :func:`solve_min_general` -- minimize; value and primal only.
 * :func:`solve_max_slack` -- maximize over ``Ax <= b, x >= 0`` with ``b >= 0``
-  (slack basis is immediately feasible, no phase 1), returning primal and the
-  dual multipliers read off the final reduced-cost row.
-* :func:`solve_min_general` -- two-phase minimization over mixed
-  ``<= / == / >=`` rows; value and primal only.
+  (all-slack basis, so phase 1 is empty), adding the dual multipliers read
+  off the final reduced-cost row.
 
 The tableau holds integers ``T = D * (true tableau)``, where ``D > 0`` is the
 absolute determinant of the current basis and starts at 1.  A pivot on
@@ -88,8 +88,10 @@ def _bland_min(rows, z, basis, ncols, d) -> tuple[int, int]:
     """Run minimizing simplex to optimality; returns pivot count and determinant."""
     pivots = 0
     while True:
-        pc = next((j for j in range(ncols) if z[j] < 0), -1)
-        if pc < 0:
+        for pc in range(ncols):  # Bland: the first negative reduced cost enters
+            if z[pc] < 0:
+                break
+        else:
             return pivots, d
         pr = -1
         for i, row in enumerate(rows):
@@ -116,46 +118,14 @@ def _primal(rows, basis, d, n) -> list[Fraction]:
     return x
 
 
-def solve_max_slack(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
-                    b: Sequence[Fraction]) -> LPResult:
-    """Maximize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
+def _two_phase(c, constraints):
+    """The one simplex: minimize ``c.x`` over rows ``(coeffs, sense, rhs)``.
 
-    ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
-    ``duals . b == objective`` by strong duality).
-    """
-    m, n = len(A), len(c)
-    if any(bi < 0 for bi in b):
-        raise ValueError("slack start needs b >= 0")
-    ncols = n + m
-    rows = []
-    scales = []
-    for i in range(m):
-        coeffs, scale = _integer_row([*A[i], b[i]])
-        row = coeffs[:n] + [0] * m + coeffs[n:]
-        row[n + i] = 1
-        rows.append(row)
-        scales.append(scale)
-    basis = [n + i for i in range(m)]
-    # minimize -c.x; slack costs are zero so the initial pricing is direct
-    cost, cscale = _integer_row(c)
-    z = [-v for v in cost] + [0] * (m + 1)
-    pivots, d = _bland_min(rows, z, basis, ncols, 1)
-    # z = d * cscale * (reduced costs); its last entry is then c.x
-    objective = Fraction(z[-1], d * cscale)
-    duals = [Fraction(scales[i] * z[n + i], d * cscale) for i in range(m)]
-    return LPResult(objective=objective, x=_primal(rows, basis, d, n), duals=duals,
-                    pivots=pivots)
-
-
-def solve_min_general(c: Sequence[Fraction],
-                      constraints: Sequence[tuple[Sequence[Fraction], str, Fraction]]) -> LPResult:
-    """Minimize ``c.x`` over rows ``(coeffs, sense, rhs)`` with ``x >= 0``.
-
-    ``sense`` is one of ``"<=", ">=", "=="``.  Full two-phase method; the
-    duals slot of the result is left empty.
+    Returns the result (duals left empty), the final cost row ``z``, its
+    scale (the reduced costs are ``z`` over it) and each row's scale.
     """
     n = len(c)
-    norm = []
+    rows, senses, scales = [], [], []
     for coeffs, sense, rhs in constraints:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
@@ -163,24 +133,20 @@ def solve_min_general(c: Sequence[Fraction],
         if row[-1] < 0:
             row = [-v for v in row]
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        norm.append((row, sense, scale))
+        rows.append(row)
+        senses.append(sense)
+        scales.append(scale)
 
-    m = len(norm)
-    n_slack = sum(1 for _, s, _ in norm if s == "<=")
-    n_surplus = sum(1 for _, s, _ in norm if s == ">=")
-    n_art = sum(1 for _, s, _ in norm if s in (">=", "=="))
-    ncols = n + n_slack + n_surplus + n_art
-    art_start = n + n_slack + n_surplus
-    # phase 1 weighs artificial i by weight[i] = art_scale / (its row's scale)
-    art_scale = lcm(*(scale for _, s, scale in norm if s != "<="))
+    m = len(rows)
+    # a slack column for each "<=" row, a surplus one for each ">=" row
+    art_start = n + m - senses.count("==")
+    n_art = m - senses.count("<=")
+    ncols = art_start + n_art
 
-    rows = []
-    basis = []
-    si = n
-    ai = art_start
-    art_rows = []
-    for i, (coeffs, sense, scale) in enumerate(norm):
-        row = coeffs[:n] + [0] * (ncols - n) + coeffs[n:]
+    basis, art_rows = [], []
+    si, ai = n, art_start  # next slack/surplus and next artificial column
+    for i, sense in enumerate(senses):
+        row = rows[i] = rows[i][:n] + [0] * (ncols - n) + rows[i][n:]
         if sense == "<=":
             row[si] = 1
             basis.append(si)
@@ -191,16 +157,17 @@ def solve_min_general(c: Sequence[Fraction],
                 si += 1
             row[ai] = 1
             basis.append(ai)
-            art_rows.append((i, art_scale // scale))
+            art_rows.append(i)
             ai += 1
-        rows.append(row)
 
-    pivots = 0
-    d = 1
+    pivots, d = 0, 1
     if n_art:
-        # phase 1: minimize the artificial total, priced out over the art basis
+        # phase 1: minimize the artificial total, priced out over the art basis;
+        # artificial i weighs art_scale / (its row's scale)
+        art_scale = lcm(*(scales[i] for i in art_rows))
         z1 = [0] * (ncols + 1)
-        for i, weight in art_rows:
+        for i in art_rows:
+            weight = art_scale // scales[i]
             z1 = [a - weight * b for a, b in zip(z1, rows[i])]
             z1[basis[i]] = 0
         count, d = _bland_min(rows, z1, basis, ncols, d)
@@ -235,5 +202,34 @@ def solve_min_general(c: Sequence[Fraction],
             z = [a - f * b for a, b in zip(z, rows[i])]
     count, d = _bland_min(rows, z, basis, ncols, d)
     pivots += count
-    return LPResult(objective=Fraction(-z[-1], d * cscale), x=_primal(rows, basis, d, n),
-                    duals=[], pivots=pivots)
+    res = LPResult(objective=Fraction(-z[-1], d * cscale), x=_primal(rows, basis, d, n),
+                   duals=[], pivots=pivots)
+    return res, z, d * cscale, scales
+
+
+def solve_max_slack(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
+                    b: Sequence[Fraction]) -> LPResult:
+    """Maximize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
+
+    ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
+    ``duals . b == objective`` by strong duality).
+    """
+    if any(bi < 0 for bi in b):
+        raise ValueError("slack start needs b >= 0")
+    n = len(c)
+    res, z, zscale, scales = _two_phase([-v for v in c],
+                                        [(A[i], "<=", b[i]) for i in range(len(A))])
+    res.objective = -res.objective
+    # row i's slack is column n + i
+    res.duals = [Fraction(scale * z[n + i], zscale) for i, scale in enumerate(scales)]
+    return res
+
+
+def solve_min_general(c: Sequence[Fraction],
+                      constraints: Sequence[tuple[Sequence[Fraction], str, Fraction]]) -> LPResult:
+    """Minimize ``c.x`` over rows ``(coeffs, sense, rhs)`` with ``x >= 0``.
+
+    ``sense`` is one of ``"<=", ">=", "=="``.  Full two-phase method; the
+    duals slot of the result is left empty.
+    """
+    return _two_phase(c, constraints)[0]

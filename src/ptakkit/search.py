@@ -30,13 +30,16 @@ class SearchResult:
 def max_member(fam: HereditaryFamily, budget: Optional[int] = None) -> SearchResult:
     """Maximum-cardinality member; ties resolve to the lexicographically
     smallest set.  ``budget`` caps explored nodes; when it is hit the best
-    member found so far is returned with ``optimal=False``.
+    member found so far is returned with ``optimal=False``; a negative one
+    raises ValueError.
 
     The maximal sets are ordered by size, largest first, and each label
     keeps the bitset of the sets holding it.  A node's candidates are then
     one int, ANDed with a label's bitset to extend the member, and the bound
     is the size of the lowest candidate.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n = fam.n
     order = sorted(range(len(fam.maximal)), key=lambda r: -len(fam.maximal[r]))
     sizes = [len(fam.maximal[r]) for r in order]

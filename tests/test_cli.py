@@ -191,6 +191,13 @@ def test_search_truncated_by_budget_checks_bound_on_full_search(tmp_path, capsys
                                   "ok": True}
 
 
+def test_search_budget_zero_is_valid(family_file, capsys):
+    rc, out, _ = run(capsys, "search", "--family", str(family_file), "--budget", "0")
+    assert rc == 0
+    rep = report_of(out)
+    assert rep["nodes_explored"] == 0 and rep["optimal"] is False
+
+
 def test_trace_command(family_file, capsys):
     rc, out, _ = run(capsys, "trace", "--family", str(family_file), "--subset", "0,2,4")
     assert rc == 0
@@ -229,6 +236,21 @@ def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
             for eps in (HUGE_EPSILON, "2")]
     assert runs[0][0] == runs[1][0] == 0
     assert strip_timestamp(runs[0][1]) == strip_timestamp(runs[1][1])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("oracle", "--epsilon", "0"),
+    ("oracle", "--epsilon", "-1/2"),
+    ("oracle", "--max-iters", "0"),
+    ("oracle", "--max-iters", "-3"),
+    ("oracle", "--max-iters", "1000000001"),
+    ("search", "--budget", "-1"),
+    ("search", "--budget", "-5"),
+])
+def test_bad_flag_exit_2_names_flag(family_file, capsys, command, flag, value):
+    rc, out, err = run(capsys, command, "--family", str(family_file), f"{flag}={value}")
+    assert rc == 2 and out == ""
+    assert flag in err
 
 
 # --- suite ------------------------------------------------------------------------------

@@ -52,6 +52,18 @@ def test_cover_validation():
     assert FractionalCover({}).weights == {}
 
 
+@pytest.mark.parametrize("cls, weights, message", [
+    (ConvexMean, {-1: F(1)}, "negative label in mean support"),
+    (FractionalCover, {-1: F(1)}, "negative index in cover support"),
+    (ConvexMean, {}, "mean weights must sum to exactly 1"),
+    (FractionalCover, {0: F(2), 1: F(-1)}, "cover weights must be nonnegative"),
+])
+def test_validation_message_names_mean_or_cover(cls, weights, message):
+    with pytest.raises(ValueError, match=message):
+        cls(weights)
+    assert cls(weights, validate=False).weights == weights
+
+
 # --- evaluate_mean ----------------------------------------------------------------
 
 def test_evaluate_mean_uniform_pairs():

@@ -191,6 +191,25 @@ def test_max_slack_matches_rational_reference_and_duality():
     assert optimal > 100
 
 
+def test_max_slack_is_min_general_on_negated_costs():
+    # both entry points share one tableau: same pivots, same x, negated value
+    rng = random.Random(7)
+    optimal = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        c = [rand_frac(rng, -3, 5) for _ in range(n)]
+        A = [[rand_frac(rng, -4, 4) for _ in range(n)] for _ in range(m)]
+        b = [rand_frac(rng, 0, 6) for _ in range(m)]
+        want = outcome(solve_min_general, [-v for v in c], [(a, "<=", bi) for a, bi in zip(A, b)])
+        got = outcome(solve_max_slack, c, A, b)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        optimal += 1
+        assert (got.objective, got.x, got.pivots) == (-want.objective, want.x, want.pivots)
+    assert optimal > 100
+
+
 def test_unbounded_and_infeasible():
     with pytest.raises(UnboundedError):
         solve_max_slack([F(1)], [[F(-1)]], [F(1)])

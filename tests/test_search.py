@@ -21,7 +21,13 @@ from ptakkit.families import (
 )
 from ptakkit.game import ConvexMean, best_response
 from ptakkit.intervals import random_system, trace_family
-from ptakkit.search import BoundReport, greedy_member, max_member, ptak_bound_check
+from ptakkit.search import (
+    BoundReport,
+    SearchResult,
+    greedy_member,
+    max_member,
+    ptak_bound_check,
+)
 from ptakkit.suite import run_suite
 
 F = Fraction
@@ -80,6 +86,15 @@ def test_max_member_budget_flag():
     # best-effort result is always a member and never overshoots
     assert membership(fam, res.best)
     assert res.size <= full.size
+
+
+def test_max_member_negative_budget_raises_and_zero_is_valid():
+    fam = maximal_cliques(5, cycle_edges(5))
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match="budget"):
+            max_member(fam, budget=budget)
+    res = max_member(fam, budget=0)
+    assert res == SearchResult(best=(), size=0, nodes_explored=0, optimal=False)
 
 
 def test_max_member_pinned_on_corpus(corpus):
