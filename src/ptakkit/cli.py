@@ -71,6 +71,11 @@ def _rational_flag(flag: str, text: str):
         raise InputError(f"{flag}: {exc}") from None
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{flag} must be at least {least}, got {value}")
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if not out:
@@ -111,8 +116,8 @@ def cmd_norm(args, inputs):
 
 
 def cmd_search(args, inputs):
-    if args.budget is not None and args.budget < 0:
-        raise InputError(f"--budget must be at least 0, got {args.budget}")
+    if args.budget is not None:
+        _at_least("--budget", args.budget, 0)
     fam = _load(inputs, args.family, family_from_json_dict)
     res = max_member(fam, budget=args.budget)
     best = res if res.optimal else max_member(fam)
@@ -156,9 +161,12 @@ def cmd_oracle(args, inputs):
 
 
 def cmd_gen(args, inputs):
+    _at_least("--n", args.n, 3 if args.kind == "cycle-cliques" else 1)
     if args.kind == "cardinality":
         if args.k is None:
             raise InputError("--k is required for --kind cardinality")
+        if not 0 <= args.k <= args.n:
+            raise InputError(f"--k must lie in [0, --n] = [0, {args.n}], got {args.k}")
         payload = cardinality_bound_family(args.n, args.k).to_json_dict()
         params = {"n": args.n, "k": args.k}
     elif args.kind == "cycle-cliques":
@@ -168,10 +176,14 @@ def cmd_gen(args, inputs):
         payload = cardinality_bound_family(args.n, args.n).to_json_dict()
         params = {"n": args.n}
     elif args.kind == "random":
+        _at_least("--max-sets", args.max_sets, 1)
         payload = random_family(args.seed, n=args.n, max_sets=args.max_sets).to_json_dict()
         params = {"n": args.n, "max_sets": args.max_sets}
     else:
+        _at_least("--pieces", args.pieces, 1)
         min_measure = _rational_flag("--min-measure", args.min_measure)
+        if not 0 <= min_measure <= 1:
+            raise InputError(f"--min-measure must lie in [0, 1], got {args.min_measure}")
         payload = random_system(args.seed, args.n, args.pieces, min_measure).to_json_dict()
         params = {"n": args.n, "pieces": args.pieces,
                   "min_measure": format_rational(min_measure)}

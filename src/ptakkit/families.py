@@ -49,12 +49,10 @@ def set_mask(members: Iterable[int]) -> int:
 
 def mask_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -357,7 +355,8 @@ def _bron_kerbosch(n: int, adj: Sequence[int]) -> HereditaryFamily:
             v = cand.bit_length() - 1
             cand ^= 1 << v
             stack.append((r | 1 << v, p & ~cand & adj[v], (x | cand) & adj[v]))
-    return hereditary_closure([mask_to_tuple(m) for m in out], n)
+    # maximal cliques are distinct and none lies inside another
+    return HereditaryFamily(n=n, maximal=tuple(sorted(map(mask_to_tuple, out))))
 
 
 def maximal_cliques(n: int, edges: Sequence[Sequence[int]]) -> HereditaryFamily:
@@ -377,7 +376,8 @@ def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     _check_enumeration(comb(n, k), f"cardinality family C({n}, {k})")
-    return hereditary_closure(combinations(range(n), k), n)
+    # combinations come in lexicographic order; k = 0 leaves only the empty set
+    return HereditaryFamily(n=n, maximal=tuple(combinations(range(n), k)) if k else ())
 
 
 def realize(spec: FamilySpec) -> HereditaryFamily:

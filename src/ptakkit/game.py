@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 from . import accel
@@ -188,10 +189,13 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
 
     sets = fam.maximal
     # start from the row the uniform mean loses most to: largest, ties lex
-    start = max(range(m), key=lambda i: (len(sets[i]), [-v for v in sets[i]]))
-    active = [start]
-    active_flags = [False] * m
-    active_flags[start] = True
+    # (the sets are stored in lexicographic order, so the first longest)
+    sizes = list(map(len, sets))
+    active = [sizes.index(max(sizes))]
+    # one getter per set sums its labels' weights at C speed; a singleton
+    # takes a slice, so that every getter returns a sequence
+    weights_in = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1))
+                  for s in sets]
     ones_n = [1] * n
     pivots = 0
 
@@ -208,25 +212,21 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         nums, den = scaled_ints(res.x)
         total = sum(nums)
 
-        worst = den - total  # delta * total
-        worst_idx = -1
-        weight_of = nums.__getitem__
-        for idx in range(m):
-            if active_flags[idx]:
-                continue
-            val = sum(map(weight_of, sets[idx]))
-            if val > worst:
-                worst = val
-                worst_idx = idx
-        if worst_idx < 0:
+        # the heaviest inactive set, lowest index on ties; it is violated
+        # when it weighs more than delta * total (weights are nonnegative,
+        # so an active row marked -1 never wins)
+        vals = [sum(g(nums)) for g in weights_in]
+        for idx in active:
+            vals[idx] = -1
+        worst = max(vals)
+        if worst <= den - total:
             zstar = res.objective  # equals 1/(delta+1), in [1/2, 1]
             mu = {active[r]: res.duals[r] / zstar for r in range(len(active))}
             primal = ConvexMean({s: Fraction(v, total) for s, v in enumerate(nums) if v})
             dual = FractionalCover(mu)
             return GameValueResult(delta=Fraction(den - total, total), primal=primal,
                                    dual=dual, pivots=pivots)
-        active.append(worst_idx)
-        active_flags[worst_idx] = True
+        active.append(vals.index(worst))
 
 
 @dataclass(frozen=True)

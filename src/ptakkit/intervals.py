@@ -73,9 +73,6 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.pieces), ZERO)
 
-    def contains_point(self, x: Fraction) -> bool:
-        return any(a <= x <= b for a, b in self.pieces)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
         i = j = 0
@@ -143,19 +140,6 @@ def direct_intersection(sys: IntervalSystem, labels: Iterable[int]) -> IntervalS
     return acc
 
 
-def _sample_points(sys: IntervalSystem) -> list[Fraction]:
-    endpoints: set[Fraction] = set()
-    for iset in sys.sets:
-        for a, b in iset.pieces:
-            endpoints.add(a)
-            endpoints.add(b)
-    pts = sorted(endpoints)
-    samples = list(pts)
-    for lo, hi in zip(pts, pts[1:]):
-        samples.append((lo + hi) / 2)
-    return samples
-
-
 def trace_family(sys: IntervalSystem) -> HereditaryFamily:
     """Family of label sets whose interval sets share a point.
 
@@ -163,12 +147,19 @@ def trace_family(sys: IntervalSystem) -> HereditaryFamily:
     gap midpoint is collected; the family is the downward closure of these
     stabilizers.  Hereditary by construction, and adequate in the finite
     sense: a set belongs iff all its subsets do.
+
+    The sample points are ranked in increasing order, so endpoint ``i`` has
+    rank ``2i`` and the midpoint after it ``2i + 1``; a piece ``[a, b]``
+    holds exactly the points ranked ``rank[a]..rank[b]``, and no midpoint
+    has to be computed.
     """
-    stabilizers = []
-    for x in _sample_points(sys):
-        stab = tuple(s for s in range(sys.n) if sys.sets[s].contains_point(x))
-        if stab:
-            stabilizers.append(stab)
+    endpoints = sorted({x for iset in sys.sets for piece in iset.pieces for x in piece})
+    rank = {x: 2 * i for i, x in enumerate(endpoints)}
+    stabilizers: list[list[int]] = [[] for _ in range(2 * len(endpoints) - 1)]
+    for s, iset in enumerate(sys.sets):
+        for a, b in iset.pieces:
+            for point in range(rank[a], rank[b] + 1):
+                stabilizers[point].append(s)
     return hereditary_closure(stabilizers, sys.n)
 
 

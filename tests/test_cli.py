@@ -80,6 +80,24 @@ def test_gen_infeasible_parameters_exit_2(capsys):
     assert "pieces" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--kind", "random", "--n", "3", "--max-sets", "-1"], "--max-sets"),
+    (["--kind", "random", "--n", "0"], "--n"),
+    (["--kind", "intervals", "--n", "2", "--pieces", "0"], "--pieces"),
+    (["--kind", "intervals", "--n", "0"], "--n"),
+    (["--kind", "intervals", "--n", "2", "--min-measure", "3/2"], "--min-measure"),
+    (["--kind", "cardinality", "--n", "3", "--k", "-1"], "--k"),
+    (["--kind", "cardinality", "--n", "3", "--k", "4"], "--k"),
+    (["--kind", "cardinality", "--n", "0", "--k", "0"], "--n"),
+    (["--kind", "powerset", "--n", "0"], "--n"),
+    (["--kind", "cycle-cliques", "--n", "2"], "--n"),
+])
+def test_gen_bad_flag_exit_2_names_flag(capsys, argv, flag):
+    rc, out, err = run(capsys, "gen", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"ptakkit gen: {flag} ")
+
+
 def test_gen_seed_defaults_to_zero_and_ignores_env(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.setenv("PTAKKIT_SEED", "not-a-seed")
@@ -118,6 +136,15 @@ def test_inputs_hold_sha256_of_file_bytes(family_file, tmp_path, capsys):
     assert rc == 0
     digest = "sha256:" + hashlib.sha256(fam.read_bytes()).hexdigest()
     assert report_of(out)["inputs"] == {str(fam): digest}
+
+
+@pytest.mark.parametrize("kind", ["graph_cliques", "graph_independent"])
+def test_graph_spec_on_empty_ground_set_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"spec": {"kind": kind, "n": 0}}))
+    rc, out, err = run(capsys, "delta", "--family", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"ptakkit delta: {path}: ground set must have at least one element\n"
 
 
 def test_delta_on_a_clique_deeper_than_the_recursion_limit(tmp_path, capsys):

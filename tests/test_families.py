@@ -208,6 +208,40 @@ def test_realize_random_graphs_match_bruteforce():
         assert list(ind.maximal) == brute_maximal_cliques(n, comp)
 
 
+def all_cliques(n, edges):
+    """Every non-empty clique, found by testing each vertex subset."""
+    joined = {frozenset(e) for e in edges}
+    return [c for r in range(1, n + 1) for c in combinations(range(n), r)
+            if all(frozenset(p) in joined for p in combinations(c, 2))]
+
+
+def test_generators_equal_closure_of_their_sets():
+    """The graph and cardinality generators build their families directly;
+    hereditary_closure of the same sets, and of every clique or every set of
+    at most k labels, must give the same family."""
+    complete = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    graphs = [(1, []), (2, []), (6, []), (2, [(0, 1)]), (5, complete)]
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.2, 0.5, 0.8))
+        graphs.append((n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < p]))
+    for n, edges in graphs:
+        complement = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if (i, j) not in edges]
+        for fam, joined in ((maximal_cliques(n, edges), edges),
+                            (maximal_independent_sets(n, edges), complement)):
+            assert fam == hereditary_closure(fam.maximal, n)
+            assert fam == hereditary_closure(all_cliques(n, joined), n)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            fam = cardinality_bound_family(n, k)
+            assert fam == hereditary_closure(combinations(range(n), k), n)
+            assert fam == hereditary_closure(
+                (c for r in range(k + 1) for c in combinations(range(n), r)), n)
+
+
 def test_maximal_cliques_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(23)

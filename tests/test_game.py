@@ -189,6 +189,45 @@ def test_delta_deterministic():
     assert a == b
 
 
+def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
+    """delta_exact starts from the first longest maximal set, and each round
+    adds the inactive set of largest weight under the current mean, the
+    lowest index among ties."""
+    solves = []
+    solve = ptakkit.game.solve_max_slack
+
+    def recording(c, A, b):
+        res = solve(c, A, b)
+        solves.append(([tuple(s for s, v in enumerate(row) if v == 2) for row in A], res.x))
+        return res
+
+    monkeypatch.setattr(ptakkit.game, "solve_max_slack", recording)
+    families = ([cardinality_bound_family(n, k) for n in range(2, 8) for k in range(1, n)]
+                + [maximal_independent_sets(n, cycle_edges(n)) for n in range(4, 12)])
+    ties = corpus_pivots = 0
+    for i, fam in enumerate(families + corpus):
+        solves.clear()
+        res = delta_exact(fam)
+        if i >= len(families):
+            corpus_pivots += res.pivots
+        if not fam.maximal:
+            continue
+        assert solves[0][0] == [max(fam.maximal, key=len)]
+        for (rows, x), (next_rows, _) in zip(solves, solves[1:]):
+            assert next_rows[:-1] == rows
+            weights = [sum((x[s] for s in fset), F(0)) for fset in fam.maximal]
+            inactive = [j for j, fset in enumerate(fam.maximal) if fset not in rows]
+            heaviest = max(weights[j] for j in inactive)
+            tied = [j for j in inactive if weights[j] == heaviest]
+            assert fam.maximal.index(next_rows[-1]) == tied[0]
+            ties += len(tied) > 1
+        # no set outweighs the value under the final mean x / sum(x)
+        x = solves[-1][1]
+        assert all(sum((x[s] for s in fset), F(0)) <= 1 - sum(x) for fset in fam.maximal)
+    assert ties > 0
+    assert corpus_pivots == 8743
+
+
 # --- verify_certificate ---------------------------------------------------------
 
 def test_verify_accepts_own_output(corpus, corpus_values):

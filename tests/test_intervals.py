@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ptakkit.families import is_full_powerset, membership
+from ptakkit.families import hereditary_closure, is_full_powerset, membership
 from ptakkit.intervals import (
     IntervalSet,
     IntervalSystem,
@@ -117,6 +118,58 @@ def test_trace_membership_matches_direct_intersection_exhaustively():
         for mask in range(1 << sysm.n):
             labels = [s for s in range(sysm.n) if (mask >> s) & 1]
             assert membership(fam, labels) == brute_membership(sysm, labels)
+
+
+def per_point_sweep_family(sysm):
+    """Reference for trace_family: every endpoint and gap midpoint, tested
+    against every label's pieces with Fraction comparisons."""
+    pts = sorted({x for iset in sysm.sets for piece in iset.pieces for x in piece})
+    samples = pts + [(lo + hi) / 2 for lo, hi in zip(pts, pts[1:])]
+    stabilizers = []
+    for x in samples:
+        stab = tuple(s for s in range(sysm.n)
+                     if any(a <= x <= b for a, b in sysm.sets[s].pieces))
+        if stab:
+            stabilizers.append(stab)
+    return hereditary_closure(stabilizers, sysm.n)
+
+
+def grid_system(rng, n):
+    """Up to four pieces per label on the grid k/8, so labels often share an
+    endpoint; about a third of the pieces are points [a, a], and a label
+    drawing no piece has the empty interval set."""
+    sets = []
+    for _ in range(n):
+        pieces = []
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(0, 8)
+            b = a if rng.random() < 0.3 else rng.randint(a, 8)
+            pieces.append((F(a, 8), F(b, 8)))
+        sets.append(IntervalSet.from_pieces(pieces))
+    return IntervalSystem(tuple(sets))
+
+
+def test_trace_family_matches_per_point_sweep():
+    systems = [system_of([]), system_of([(0, 1)]), system_of([(F(1, 3), F(1, 3))]),
+               system_of([], []), system_of([(0, F(1, 2))], [(F(1, 2), 1)])]
+    for seed in range(150):
+        rng = random.Random(seed)
+        systems.append(grid_system(rng, rng.randint(1, 12)))
+        systems.append(random_system(seed, rng.randint(1, 16), rng.randint(1, 4),
+                                     F(rng.randint(0, 8), 16)))
+    for sysm in systems:
+        assert trace_family(sysm) == per_point_sweep_family(sysm), sysm
+    isets = [iset for sysm in systems for iset in sysm.sets]
+    assert any(len(iset.pieces) > 1 for iset in isets)
+    assert any(a == b for iset in isets for a, b in iset.pieces)
+    assert any(iset.is_empty for iset in isets)
+    assert any(sysm.n == 1 for sysm in systems[5:])
+
+    def endpoints(iset):
+        return {x for piece in iset.pieces for x in piece}
+
+    assert sum(any(endpoints(p) & endpoints(q) for p, q in combinations(sysm.sets, 2))
+               for sysm in systems) > 100
 
 
 def test_trace_family_is_adequate_finite_form():
