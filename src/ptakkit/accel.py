@@ -8,8 +8,9 @@ averages snapped to denominators up to ``SNAP_QMAX`` by largest-remainder
 rounding.  Games on 0/1 matrices have simple rational equilibria, so a
 snapped average typically hits one exactly and the bracket collapses to zero
 width.  All bookkeeping is in integers (int64 arrays and Python ints); the
-returned bounds are exact integer fractions and only the stopping test uses
-floats (with a safety margin; the caller re-checks exactly).
+returned bounds are exact integer fractions.  Floats carry only the
+checkpoint products, whose values are small integers held exactly, and the
+stopping test (with a safety margin; the caller re-checks exactly).
 
 The play loop keeps one tie key per strategy, ``pay * big - count`` for
 rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
@@ -29,20 +30,33 @@ only for the ``q`` that can still move that player's bound: a snapped lower
 bound ``num/q`` cannot exceed the current upper bound, so unless some
 ``num/q`` lies strictly above the lower bound and at most the upper bound,
 ``q`` is skipped (and symmetrically for the upper bound).  Once the bracket
-closes, no ``q`` survives.  The survivors go in blocks of ``_SNAP_BLOCK``,
-each rounded at once over the played strategies (floor and remainder by one
-``divmod``, then one more for each remainder above the ``deficit``-th
-largest and for the lowest-index ones tied with it until the deficit is
-met) and evaluated by one int64 matmul.
+closes, no ``q`` survives and the checkpoint returns at once.  The survivors
+go in blocks bounded by entries, not by ``q``: a block holds as many ``q`` as
+keep both its snapped array and its product within ``_SNAP_ELEMS`` entries.
+Each block is rounded at once over the played strategies (floor and
+remainder by one ``divmod``, then one more for each remainder above the
+``deficit``-th largest and for the lowest-index ones tied with it until the
+deficit is met) and evaluated by one float64 matmul, which BLAS computes
+exactly (see ``SNAP_QMAX``).  The best ``q`` is then chosen in integers: the
+block keeps the ``q`` whose fraction beats the best bound so far, and the
+few survivors are folded in increasing ``q`` by the cross-multiplied test,
+so the first ``q`` with the strictly best fraction wins, as in a full scan.
 numpy is imported inside the functions that use it, so importing the package
 does not load it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
+# Largest snap denominator.  It also makes the float64 checkpoint product
+# exact: a row snapped to q has integer weights summing to q <= SNAP_QMAX, and
+# the payoffs are 0 or 1, so every product and every partial sum BLAS forms,
+# in whatever order or blocking and on however many threads, is an integer in
+# [0, SNAP_QMAX], far below 2**53, and every rounding step is exact.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
-_SNAP_BLOCK = 16  # q values per checkpoint matmul; larger blocks cost peak memory
+_SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
 
 
 def snapped_counts(counts, k, qs):
@@ -83,18 +97,24 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, oth
     if other_n is None:
         other_n = 1 if is_lower else 0
     sign = 1 if is_lower else -1  # a lower bound improves upwards
-    qs = range(1, SNAP_QMAX + 1)
+    # the bounds' terms are at most 10**9 (MAX_PLAY_ITERS) and q <= 512; the
+    # floor division comes before the multiply, so no product passes 512 * 10**9
+    qs = np.arange(1, SNAP_QMAX + 1, dtype=np.int64)
     if is_lower:  # floor(other * q) must beat the best
-        live = [q for q in qs if other_n * q // other_d * best_d > best_n * q]
+        live = qs[other_n * qs // other_d * best_d > best_n * qs]
     else:  # and ceil(other * q) for an upper bound
-        live = [q for q in qs if -(-other_n * q // other_d) * best_d < best_n * q]
+        live = qs[-(-other_n * qs // other_d) * best_d < best_n * qs]
+    if not len(live):
+        return best_n, best_d
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
-    counts, pay = counts[played], pay[played]
-    for b in range(0, len(live), _SNAP_BLOCK):
-        qs = np.array(live[b:b + _SNAP_BLOCK], dtype=np.int64)
-        out = snapped_counts(counts, k, qs) @ pay
-        nums = out.min(axis=1) if is_lower else out.max(axis=1)
-        for q, num in zip(qs.tolist(), nums.tolist()):
+    counts, pay = counts[played], pay[played].astype(np.float64)
+    block = max(1, _SNAP_ELEMS // max(len(played), pay.shape[1]))
+    for b in range(0, len(live), block):
+        qs = live[b:b + block]
+        out = snapped_counts(counts, k, qs).astype(np.float64) @ pay
+        nums = (out.min(axis=1) if is_lower else out.max(axis=1)).astype(np.int64)
+        better = sign * (nums * best_d - best_n * qs) > 0
+        for q, num in zip(qs[better].tolist(), nums[better].tolist()):
             if sign * (num * best_d - best_n * q) > 0:
                 best_n, best_d = num, q
     return best_n, best_d
@@ -110,7 +130,8 @@ def fp_bracket(M, max_iters, eps):
     import numpy as np
 
     big = int(max_iters) + 1  # dominates any play count in the tie keys
-    set_labels = [np.flatnonzero(row).tolist() for row in M]
+    labels = range(M.shape[1])
+    set_labels = [list(compress(labels, row)) for row in M.tolist()]
     label_pay = list(np.ascontiguousarray(M.T * big))  # big * M[:, j] per label
     row_key = np.zeros(M.shape[0], np.int64)  # row_pay * big - row_cnt
     col_key = [0] * M.shape[1]  # col_pay * big + col_cnt

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 Label = int
@@ -56,36 +58,32 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _containers(masks: Sequence[int]) -> dict[int, int]:
-    """For each mask lying inside another, the index of one mask containing it.
+def _containers(sets: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
+    """For each set lying inside another, the index of one set containing it.
 
-    The masks must be distinct.  Distinct sets nest only in sets with more
-    elements, so the masks are taken one size at a time, largest first, and
-    each is looked up among the larger masks that are not themselves inside
-    another, kept in that order.  The lookup is a bitset index: for each
-    label, the positions of the kept masks holding it.  A mask lies inside
-    exactly the kept masks in the AND of its labels' bitsets, and the lowest
-    of them is reported.  Masks of one size cost no comparisons, and the
-    smallest size is never indexed, since nothing is looked up after it.
+    The sets must be distinct tuples of labels in ``0..n-1``.  Distinct sets
+    nest only in sets with more elements, so the sets are taken one size at a
+    time, largest first, and each is looked up among the larger sets that are
+    not themselves inside another, kept in that order.  The lookup is a bitset
+    index: for each label, the positions of the kept sets holding it.  A set
+    lies inside exactly the kept sets in the AND of its labels' bitsets, and
+    the lowest of them is reported.  Sets of one size cost no comparisons, and
+    the smallest size is never indexed, since nothing is looked up after it.
     """
     by_size: dict[int, list[int]] = {}
-    for i, m in enumerate(masks):
-        by_size.setdefault(m.bit_count(), []).append(i)
+    for i, s in enumerate(sets):
+        by_size.setdefault(len(s), []).append(i)
     sizes = sorted(by_size, reverse=True)
     inside: dict[int, int] = {}
-    kept: list[int] = []  # indices of the undominated larger masks
-    holding: dict[int, int] = {}  # label bit -> bitset of positions in kept
-    positions_of = holding.get
+    kept: list[int] = []  # indices of the undominated larger sets
+    holding = [0] * n  # label -> bitset of positions in kept
+    positions_of = holding.__getitem__
     for size in sizes:
         group = by_size[size]
         if kept:
             everything = (1 << len(kept)) - 1
             for i in group:
-                found, rest = everything, masks[i]
-                while rest and found:
-                    bit = rest & -rest
-                    found &= positions_of(bit, 0)
-                    rest ^= bit
+                found = reduce(and_, map(positions_of, sets[i]), everything)
                 if found:
                     inside[i] = kept[(found & -found).bit_length() - 1]
         if size == sizes[-1]:
@@ -95,11 +93,8 @@ def _containers(masks: Sequence[int]) -> dict[int, int]:
                 continue
             position = 1 << len(kept)
             kept.append(i)
-            rest = masks[i]
-            while rest:
-                bit = rest & -rest
-                holding[bit] = positions_of(bit, 0) | position
-                rest ^= bit
+            for label in sets[i]:
+                holding[label] |= position
     return inside
 
 
@@ -130,7 +125,7 @@ class HereditaryFamily:
             masks.append(set_mask(s))
         if any(a >= b for a, b in zip(self.maximal, self.maximal[1:])):
             raise ValueError("maximal sets not in strictly increasing lexicographic order")
-        inside = _containers(masks)
+        inside = _containers(self.maximal, self.n)
         if inside:
             i = min(inside)
             raise ValueError(
@@ -154,7 +149,7 @@ def hereditary_closure(sets: Iterable[ElementSet], n: int) -> HereditaryFamily:
     normalized = {normalize_set(s, n) for s in sets}
     normalized.discard(())
     items = sorted(normalized)
-    inside = _containers([set_mask(s) for s in items])
+    inside = _containers(items, n)
     return HereditaryFamily(
         n=n, maximal=tuple(s for i, s in enumerate(items) if i not in inside)
     )

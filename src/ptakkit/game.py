@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Optional, Union
 
@@ -293,9 +294,8 @@ def incidence_matrix(fam: HereditaryFamily) -> "np.ndarray":
     import numpy as np
 
     M = np.zeros((len(fam.maximal), fam.n), dtype=np.int64)
-    for i, fset in enumerate(fam.maximal):
-        for s in fset:
-            M[i, s] = 1
+    rows = np.repeat(np.arange(len(fam.maximal)), [len(s) for s in fam.maximal])
+    M[rows, np.fromiter(chain.from_iterable(fam.maximal), np.intp, len(rows))] = 1
     return M
 
 

@@ -81,7 +81,8 @@ def test_snaps_match_fraction_reference_on_seeded_counts():
 
 
 def full_fold(counts, k, pay, is_lower, best_n, best_d):
-    """The unpruned fold: every q up to SNAP_QMAX, in increasing order."""
+    """The unpruned fold: every q up to SNAP_QMAX, in increasing order, each
+    snap evaluated by an int64 matmul (the reference for the float64 one)."""
     sign = 1 if is_lower else -1
     qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
     out = accel.snapped_counts(counts, k, qs) @ pay
@@ -115,6 +116,52 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
                 assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
 
 
+# (sets, labels, blocks of q for the row player): every q in one block, two
+# blocks of 303 and 209, and 37 blocks of 14 (the last holding 8) for more
+# than _SNAP_ELEMS // 16 labels
+SNAP_SHAPES = [(5, 3, 1), (7, accel._SNAP_ELEMS // 512, 1), (9, accel._SNAP_ELEMS // 300, 2),
+               (6, accel._SNAP_ELEMS // 16 + 100, 37)]
+
+
+@pytest.mark.parametrize("sets, labels, blocks", SNAP_SHAPES)
+def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
+    block = accel._SNAP_ELEMS // max(sets, labels)
+    assert -(-accel.SNAP_QMAX // block) == blocks
+    rng = np.random.default_rng(sets * 1000 + labels)
+    M = (rng.random((sets, labels)) < 0.5).astype(np.int64)
+    M[1] = 1 - M[0]  # set 1 holds exactly the labels set 0 lacks
+    M[:, 0] = 1  # and label 0 is in every set
+    last_q = 0
+    for counts_of in (
+        lambda m: rng.integers(0, 50, size=m),
+        # one strategy holds nearly all counts: at q = 512 it snaps to 511 or 512
+        lambda m: np.array([10**6 - m + 1] + [1] * (m - 1)),
+        lambda m: np.array([3] + [0] * (m - 2) + [10**5]),
+        # with the +1 below, one play of 1,009 on set 0: it snaps to 1 only from
+        # q = 505 on, and as set 1 holds every other label, the lower bound
+        # 1/505 lies in the last block
+        lambda m: np.array([0, 1008] + [0] * (m - 2)),
+    ):
+        row_counts = counts_of(sets).astype(np.int64)
+        col_counts = counts_of(labels).astype(np.int64)
+        row_counts[0] += 1
+        col_counts[0] += 1
+        row_k, col_k = int(row_counts.sum()), int(col_counts.sum())
+        low = full_fold(row_counts, row_k, M, True, 0, 1)
+        up = full_fold(col_counts, col_k, M.T, False, 1, 1)
+        assert Fraction(*low) <= Fraction(*up)
+        # trivial opposite bounds keep all 512 q; the other player's bound prunes
+        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1) == low
+        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1, *up) == low
+        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1) == up
+        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1, *low) == up
+        # starting from a bound already reached folds nothing in
+        assert accel._snap_checkpoint(row_counts, row_k, M, True, *low) == low
+        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, *up) == up
+        last_q = max(last_q, low[1])
+    assert last_q > (accel.SNAP_QMAX - 1) // block * block  # a q of the last block won
+
+
 # Values taken from the per-q snapping kernel this batched one replaced.
 WORKER_GOLDEN = {
     1: [["0", "1", 1, False], ["0", "1", 1, False], ["0", "1", 1, False], ["1", "1", 1, True],
@@ -130,9 +177,14 @@ CARDINALITY_GOLDEN = {
     (9, 4, 3): ["0", "1", 3, False],
     (9, 4, 130): ["49/111", "4/9", 130, False],
     (9, 4, 10**6): ["4/9", "4/9", 512, True],
+    (11, 3, 10**6): ["3/11", "3/11", 1024, True],
+    (11, 4, 10**6): ["4/11", "4/11", 4096, True],
     (11, 5, 3): ["0", "1", 3, False],
     (11, 5, 130): ["19/43", "5/11", 130, False],
     (11, 5, 10**6): ["5/11", "5/11", 4096, True],
+    (11, 6, 10**6): ["6/11", "6/11", 4096, True],
+    (11, 7, 10**6): ["7/11", "7/11", 2048, True],
+    (11, 8, 10**6): ["8/11", "8/11", 1024, True],
     (12, 7, 10**6): ["154726/265245", "7/12", 265245, True],
 }
 

@@ -18,6 +18,7 @@ from ptakkit.families import (
     maximal_cliques,
     maximal_independent_sets,
     maximal_up_set,
+    mask_to_tuple,
     membership,
     random_family,
     realize,
@@ -138,13 +139,35 @@ def test_containers_match_pairwise_scan():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(masks) == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), labels) == expected
         sizes = [m.bit_count() for m in masks]
         checked["dominated"] += bool(expected)
         checked["same size"] += len(set(sizes)) < len(sizes)
         checked["beyond 64"] += max(masks) >= 1 << 64
     assert min(checked.values()) >= 200, checked
 
+
+
+def test_containers_match_pairwise_scan_on_many_sets():
+    # hundreds of sets: the kept-position bitsets pass 64 bits, and sizes
+    # from 1 to 9 give several groups, each looked up in the larger ones
+    rng = random.Random(47)
+    checked = {"kept beyond 64": 0, "sizes >= 5": 0, "dominated": 0}
+    for _ in range(24):
+        n = rng.randint(6, 40)
+        sets = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 9))))
+                for _ in range(rng.randint(80, 300))}
+        masks = [set_mask(x) for x in sets]
+        rng.shuffle(masks)
+        expected = pairwise_containers(masks)
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), n) == expected
+        smallest = min(m.bit_count() for m in masks)  # never indexed
+        undominated_larger = sum(1 for i, m in enumerate(masks)
+                                 if i not in expected and m.bit_count() > smallest)
+        checked["kept beyond 64"] += undominated_larger > 64
+        checked["sizes >= 5"] += len({m.bit_count() for m in masks}) >= 5
+        checked["dominated"] += bool(expected)
+    assert min(checked.values()) >= 10, checked
 
 # --- membership and hereditarity ---------------------------------------------
 
