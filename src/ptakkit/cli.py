@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("search", cmd_search, "maximum member search with size guarantee",
                 ["--family"])
-    p.add_argument("--budget", type=int, default=None, help="node budget")
+    p.add_argument("--budget", type=int, default=None, help="maximal sets examined")
 
     p = command("trace", cmd_trace, "trace the family to a label subset", ["--family"])
     p.add_argument("--subset", required=True, help="comma-separated labels, e.g. 0,2,5")

@@ -1,10 +1,9 @@
 """Maximum homogeneous member search with the value-based size guarantee.
 
-A member of maximum cardinality is found by branch-and-bound over the
-maximal antichain: the search state is a member, candidates are the maximal
-sets containing it, and the bound is the size of the largest candidate.
-Exploration is lexicographic and deterministic, with an explicit node budget
-and a best-effort flag when the budget runs out.
+Every member lies inside a maximal set and every maximal set is a member, so
+a member of maximum cardinality is a longest maximal set.  The antichain is
+sorted lexicographically, so the first longest set in it is also the
+lexicographically smallest maximum member: one scan finds it.
 """
 
 from __future__ import annotations
@@ -23,51 +22,27 @@ from .rationals import format_rational
 class SearchResult:
     best: tuple[int, ...]
     size: int
-    nodes_explored: int
+    nodes_explored: int  # maximal sets examined
     optimal: bool
 
 
 def max_member(fam: HereditaryFamily, budget: Optional[int] = None) -> SearchResult:
     """Maximum-cardinality member; ties resolve to the lexicographically
-    smallest set.  ``budget`` caps explored nodes; when it is hit the best
-    member found so far is returned with ``optimal=False``; a negative one
-    raises ValueError.
+    smallest set.  ``budget`` caps the maximal sets examined, in antichain
+    order; a capped scan returns the longest set it examined, with
+    ``optimal=False`` unless it examined them all; a negative budget raises
+    ValueError.
 
-    The maximal sets are ordered by size, largest first, and each label
-    keeps the bitset of the sets holding it.  A node's candidates are then
-    one int, ANDed with a label's bitset to extend the member, and the bound
-    is the size of the lowest candidate.
+    A maximum member is a longest maximal set, since each member lies inside
+    a maximal set, and ``max`` returns the first longest one, which is the
+    lexicographically smallest because the antichain is sorted.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    n = fam.n
-    order = sorted(range(len(fam.maximal)), key=lambda r: -len(fam.maximal[r]))
-    sizes = [len(fam.maximal[r]) for r in order]
-    holding = [0] * n
-    for position, r in enumerate(order):
-        for e in fam.maximal[r]:
-            holding[e] |= 1 << position
-    best_mask = best_size = 0
-    nodes = 0
-    # stack of (member mask, member size, candidate bitset, next label)
-    stack = [(0, 0, (1 << len(order)) - 1, 0)]
-    truncated = False
-    while stack:
-        if budget is not None and nodes >= budget:
-            truncated = True
-            break
-        cur_mask, cur_size, cand, start = stack.pop()
-        nodes += 1
-        if cur_size > best_size:
-            best_mask, best_size = cur_mask, cur_size
-        children = []
-        for e in range(start, n):
-            sub = cand & holding[e]
-            if sub and sizes[(sub & -sub).bit_length() - 1] > best_size:
-                children.append((cur_mask | (1 << e), cur_size + 1, sub, e + 1))
-        stack.extend(reversed(children))  # visit smallest label first
-    return SearchResult(best=mask_to_tuple(best_mask), size=best_size,
-                        nodes_explored=nodes, optimal=not truncated)
+    sets = fam.maximal if budget is None else fam.maximal[:budget]
+    best = max(sets, key=len, default=())
+    return SearchResult(best=best, size=len(best), nodes_explored=len(sets),
+                        optimal=len(sets) == len(fam.maximal))
 
 
 def greedy_member(fam: HereditaryFamily, order: Sequence[int]) -> tuple[int, ...]:

@@ -212,7 +212,7 @@ def test_search_truncated_by_budget_checks_bound_on_full_search(tmp_path, capsys
     rc, out, _ = run(capsys, "search", "--family", str(fam), "--budget", "1")
     assert rc == 0
     rep = report_of(out)
-    assert rep["best"] == [] and rep["size"] == 0 and rep["nodes_explored"] == 1
+    assert rep["best"] == [0, 1] and rep["size"] == 2 and rep["nodes_explored"] == 1
     assert rep["optimal"] is False
     assert rep["bound_check"] == {"delta": "2/5", "n": 5, "bound": 2, "achieved": 2,
                                   "ok": True}

@@ -14,6 +14,7 @@ from ptakkit.families import (
     cardinality_bound_family,
     cycle_edges,
     hereditary_closure,
+    mask_to_tuple,
     maximal_cliques,
     maximal_independent_sets,
     membership,
@@ -33,13 +34,21 @@ from ptakkit.suite import run_suite
 F = Fraction
 
 
-def brute_max_size(fam):
-    """Exhaustive oracle: largest subset of the ground set that is a member."""
-    best = 0
-    for a in range(1 << fam.n):
-        if any(a & ~m == 0 for m in fam.masks):
-            best = max(best, bin(a).count("1"))
-    return best
+def brute_max_member(fam):
+    """Exhaustive oracle over all 2^n subsets of the ground set: the
+    lexicographically smallest member of maximum size."""
+    members = (mask_to_tuple(a) for a in range(1 << fam.n)
+               if any(a & ~m == 0 for m in fam.masks))
+    return min(members, key=lambda s: (-len(s), s))
+
+
+def wide_families(seed):
+    """The three families of the wide benchmark at ``seed``: C(14,7),
+    MIS(C30) and the trace of an 80-label interval system."""
+    rng = random.Random(f"wide:{seed}")
+    system = random_system(rng.randrange(2**32), 80, 1, F(1, 4))
+    return [cardinality_bound_family(14, 7),
+            maximal_independent_sets(30, cycle_edges(30)), trace_family(system)]
 
 
 # --- max_member ------------------------------------------------------------------
@@ -52,15 +61,15 @@ def test_max_member_cardinality():
 
 def test_max_member_c5_triangle_free():
     fam = maximal_cliques(5, cycle_edges(5))
-    assert brute_max_size(fam) == 2
+    assert brute_max_member(fam) == (0, 1)
     res = max_member(fam)
     assert res.size == 2 and res.optimal and res.best == (0, 1)
 
 
 def test_max_member_c5_independent():
     fam = maximal_independent_sets(5, cycle_edges(5))
-    assert brute_max_size(fam) == 2
-    assert max_member(fam).size == 2
+    assert brute_max_member(fam) == (0, 2)
+    assert max_member(fam).best == (0, 2)
 
 
 def test_max_member_empty_family():
@@ -73,7 +82,7 @@ def test_max_member_soundness_and_exactness(corpus):
         res = max_member(fam)
         assert membership(fam, res.best)
         assert res.optimal
-        assert res.size == brute_max_size(fam)
+        assert res.best == brute_max_member(fam) and res.size == len(res.best)
 
 
 def test_max_member_budget_flag():
@@ -97,36 +106,48 @@ def test_max_member_negative_budget_raises_and_zero_is_valid():
     assert res == SearchResult(best=(), size=0, nodes_explored=0, optimal=False)
 
 
+def test_max_member_answers_pinned(corpus):
+    # (best, size, optimal) of the full search: one sha256 over the corpus,
+    # and the three wide families at seed 0
+    rows = [[list(r.best), r.size, r.optimal] for r in map(max_member, corpus)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "cb690b8d8d92ef1ad72af2b8f01c44092167742d4f413c90d791dd0cbd378dc5")
+    trace_best = tuple(sorted(set(range(80)) - {3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76}))
+    assert [(r.best, r.size, r.optimal) for r in map(max_member, wide_families(0))] == [
+        (tuple(range(7)), 7, True), (tuple(range(0, 30, 2)), 15, True),
+        (trace_best, 69, True)]
+
+
 def test_max_member_pinned_on_corpus(corpus):
     # sha256 of (seed, budget, best, size, nodes_explored, optimal) for every
-    # family and budget, as the list-of-rows search reported them
+    # family and budget, as the scan of the antichain reports them
     rows = []
     for seed, fam in enumerate(corpus):
         for budget in (None, 1, 3, 10):
             r = max_member(fam, budget)
             rows.append([seed, budget, list(r.best), r.size, r.nodes_explored, r.optimal])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "91b388fdeff5c14bd748d477c1e08c31e7abd614775cf5f1df262cfc5461315c")
+        "14f7f7d9dad55c8e53c82d26910747a4225aff961627ba08d8da30605509d838")
 
 
 def test_max_member_pinned_on_wide_families():
-    rng = random.Random("wide:0")  # the seed-0 interval system of the wide benchmark
-    system = random_system(rng.randrange(2**32), 80, 1, F(1, 4))
-    evens = tuple(range(0, 30, 2))
+    # a scan capped at `budget` examines min(budget, m) sets and returns the
+    # longest of them
+    def without(*labels):
+        return tuple(sorted(set(range(80)) - set(labels)))
+
+    seven, evens = tuple(range(7)), tuple(range(0, 30, 2))
+    longest = without(3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76)
+    first = without(3, 4, 5, 11, 12, 17, 20, 23, 24, 29, 60, 70, 71, 74, 76, 78)
     pins = [
-        (cardinality_bound_family(14, 7), [
-            (tuple(range(7)), 7, 78, True), ((), 0, 1, False), ((0, 1), 2, 3, False),
-            (tuple(range(7)), 7, 10, False)]),
-        (maximal_independent_sets(30, cycle_edges(30)), [
-            (evens, 15, 227, True), ((), 0, 1, False), ((0, 2), 2, 3, False),
-            (evens[:9], 9, 10, False)]),
-        (trace_family(system), [
-            (tuple(sorted(set(range(80)) - {3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76})),
-             69, 4052, True),
-            ((), 0, 1, False), ((0, 1), 2, 3, False),
-            ((0, 1, 2, 6, 7, 8, 9, 10, 13), 9, 10, False)]),
+        [(seven, 7, 3432, True), (seven, 7, 1, False), (seven, 7, 3, False),
+         (seven, 7, 10, False)],
+        [(evens, 15, 4610, True), (evens, 15, 1, False), (evens, 15, 3, False),
+         (evens, 15, 10, False)],
+        [(longest, 69, 8, True), (first, 64, 1, False), (longest, 69, 3, False),
+         (longest, 69, 8, True)],
     ]
-    for fam, expected in pins:
+    for fam, expected in zip(wide_families(0), pins):
         results = [max_member(fam, budget) for budget in (None, 1, 3, 10)]
         assert [(r.best, r.size, r.nodes_explored, r.optimal) for r in results] == expected
 
