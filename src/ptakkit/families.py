@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import and_
+from operator import and_, lt
 from typing import Iterable, Optional, Sequence
 
 Label = int
@@ -114,16 +114,19 @@ class HereditaryFamily:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set must have at least one element")
+        # per-set checks at C speed: strictly ascending, then the end points in
+        # range, after which the mask is a sum of distinct label bits
+        bit = [1 << label for label in range(self.n)]
         masks = []
         for s in self.maximal:
             if not s:
                 raise ValueError("empty set is implicit, never listed as maximal")
-            if list(s) != sorted(set(s)):
+            if not all(map(lt, s, s[1:])):
                 raise ValueError(f"maximal set not in ascending form: {s}")
             if s[0] < 0 or s[-1] >= self.n:
                 raise ValueError(f"label out of range: {s}")
-            masks.append(set_mask(s))
-        if any(a >= b for a, b in zip(self.maximal, self.maximal[1:])):
+            masks.append(sum(map(bit.__getitem__, s)))
+        if not all(map(lt, self.maximal, self.maximal[1:])):
             raise ValueError("maximal sets not in strictly increasing lexicographic order")
         inside = _containers(self.maximal, self.n)
         if inside:

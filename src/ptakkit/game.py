@@ -9,10 +9,11 @@ the independent fictitious-play oracle.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count
+from sys import byteorder
 from typing import Mapping, Optional, Union
 
 from . import accel
@@ -169,6 +170,75 @@ def _min_coverage(fam: HereditaryFamily, cover: FractionalCover) -> Fraction:
     return Fraction(min(coverage), den)
 
 
+_BIG_ENDIAN = byteorder == "big"  # array words are native-endian, packed fields little
+
+
+class _PackedWeights:
+    """Every maximal set's weight under a nonnegative integer vector at once.
+
+    Each label has one Python int, its column, with one ``W``-bit field per
+    maximal set (set ``k`` at bits ``k*W`` up) holding 1 where the set has
+    the label, so ``sum(x[l] * column[l])`` holds each set's weight in its
+    field.  ``W`` is a multiple of 64, so that the fields are whole words of
+    an ``array``, and at least ``n``, so that label ``l``'s column is the
+    packed masks ``sum(mask[k] << k*W)`` shifted right by ``l`` and masked
+    to bit 0 of each field.  A column is made when its label first weighs
+    something: a round often weighs few labels, and a column takes ``m*W``
+    bits.
+    """
+
+    def __init__(self, fam: HereditaryFamily):
+        self.masks, self.n = fam.masks, fam.n
+        self._build(fam.n)
+
+    def _build(self, bits: int) -> None:
+        self.width = -(-bits // 64) * 64
+        size = self.width // 8
+        # grown in place: joining m bytes objects would hold more memory than
+        # the columns of a round
+        fields = bytearray()
+        for mask in self.masks:
+            fields += mask.to_bytes(size, "little")
+        self.packed = int.from_bytes(fields, "little")
+        self.ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(self.masks), "little")
+        self.zero = array("Q", bytes(size))
+        self.columns = [None] * self.n
+
+    def heaviest(self, x: list[int], active) -> tuple[int, int]:
+        """The largest weight of a set whose index is not in ``active``, and
+        the lowest index holding it; the weights ``x`` must be nonnegative.
+        Active sets count as weighing 0."""
+        bits = sum(x).bit_length()
+        if bits > self.width:  # a field would carry into the next: widen
+            self._build(bits)
+        columns, packed = self.columns, 0
+        for label in compress(count(), x):
+            column = columns[label]
+            if column is None:
+                column = columns[label] = (self.packed >> label) & self.ones
+            packed += x[label] * column
+        k = self.width // 64  # words per field
+        words = array("Q", packed.to_bytes(k * 8 * len(self.masks), "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        zero = self.zero
+        for idx in active:
+            words[idx * k:(idx + 1) * k] = zero
+        # no weight exceeds the total, so below 2**64 every field's weight is
+        # its lowest word, compared at C speed
+        top = max(bits - 1, 0) // 64
+        if not top:
+            column = words[::k] if k > 1 else words
+            best = max(column)
+            return best, column.index(best)
+
+        def weight(i):
+            return sum(words[i * k + j] << (64 * j) for j in range(top + 1))
+
+        i = max(range(len(self.masks)), key=weight)
+        return weight(i), i
+
+
 def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     """Exact minimax constant with optimal primal mean and dual cover.
 
@@ -177,6 +247,12 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     enter (smaller members are dominated), and rows are pulled in against the
     current optimal mean until none is violated.  The dual weights are scaled
     to sum to 1, so min-coverage equals the value exactly.
+
+    Each round prices every maximal set at once (:class:`_PackedWeights`): the
+    mean, as nonnegative integers ``nums``, is summed into one ``W``-bit field
+    per set of a single packed integer.  The fields are exact, not rounded: a
+    set's weight is at most ``sum(nums)``, and ``W`` widens until that total
+    is below ``2**W``, so no field ever carries into the next.
     """
     n = fam.n
     m = len(fam.maximal)
@@ -192,34 +268,27 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     # start from the row the uniform mean loses most to: largest, ties lex
     # (the sets are stored in lexicographic order, so the first longest)
     sizes = list(map(len, sets))
-    active = [sizes.index(max(sizes))]
-    # one getter per set sums its labels' weights at C speed; a singleton
-    # takes a slice, so that every getter returns a sequence
-    weights_in = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1))
-                  for s in sets]
+    idx = sizes.index(max(sizes))
+    active, A = [], []
+    pricing = _PackedWeights(fam)
     ones_n = [1] * n
     pivots = 0
 
     while True:
-        A = []
-        for idx in active:
-            row = [1] * n
-            for s in sets[idx]:
-                row[s] = 2
-            A.append(row)
+        active.append(idx)
+        row = [1] * n
+        for s in sets[idx]:
+            row[s] = 2
+        A.append(row)
         res = solve_max_slack(ones_n, A, [1] * len(active))
         pivots += res.pivots
         # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1
         nums, den = scaled_ints(res.x)
         total = sum(nums)
 
-        # the heaviest inactive set, lowest index on ties; it is violated
-        # when it weighs more than delta * total (weights are nonnegative,
-        # so an active row marked -1 never wins)
-        vals = [sum(g(nums)) for g in weights_in]
-        for idx in active:
-            vals[idx] = -1
-        worst = max(vals)
+        # the heaviest inactive set, lowest index on ties, is violated when it
+        # weighs more than delta * total
+        worst, idx = pricing.heaviest(nums, active)
         if worst <= den - total:
             zstar = res.objective  # equals 1/(delta+1), in [1/2, 1]
             mu = {active[r]: res.duals[r] / zstar for r in range(len(active))}
@@ -227,7 +296,6 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
             dual = FractionalCover(mu)
             return GameValueResult(delta=Fraction(den - total, total), primal=primal,
                                    dual=dual, pivots=pivots)
-        active.append(vals.index(worst))
 
 
 @dataclass(frozen=True)

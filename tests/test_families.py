@@ -112,6 +112,36 @@ def test_direct_construction_rejects_non_canonical():
         HereditaryFamily(n=80, maximal=((3, 64, 70), (64, 70)))  # masks beyond 64 bits
 
 
+@pytest.mark.parametrize("n, maximal, message", [
+    (0, ((1, 0),), "ground set must have at least one element"),
+    (3, ((),), "empty set is implicit, never listed as maximal"),
+    (3, ((0,), ()), "empty set is implicit, never listed as maximal"),
+    (3, ((1, 0),), "maximal set not in ascending form: (1, 0)"),
+    (3, ((0, 0),), "maximal set not in ascending form: (0, 0)"),
+    (3, ((2, 1, 5),), "maximal set not in ascending form: (2, 1, 5)"),
+    (3, ((0, 3),), "label out of range: (0, 3)"),
+    (3, ((-1, 0),), "label out of range: (-1, 0)"),
+    (3, ((5,), (1, 0)), "label out of range: (5,)"),
+    (3, ((1, 0), (5,)), "maximal set not in ascending form: (1, 0)"),
+    (3, ((1, 2), (0, 5)), "label out of range: (0, 5)"),
+    (3, ((1, 2), (0, 2)), "maximal sets not in strictly increasing lexicographic order"),
+    (3, ((0, 1, 2), (0, 1)), "maximal sets not in strictly increasing lexicographic order"),
+    (3, ((0, 1), (0, 1, 2)), "not an antichain: (0, 1) within (0, 1, 2)"),
+    (3, ((0, 1), (0, 1, 2), (1,)), "not an antichain: (0, 1) within (0, 1, 2)"),
+])
+def test_direct_construction_messages_and_their_order(n, maximal, message):
+    """Each check names what failed; per-set checks run set by set, then the
+    order check, then the antichain check."""
+    with pytest.raises(ValueError) as exc:
+        HereditaryFamily(n=n, maximal=maximal)
+    assert str(exc.value) == message
+
+
+def test_direct_construction_masks():
+    fam = HereditaryFamily(n=80, maximal=((0, 5, 79), (1, 64), (2,)))
+    assert fam.masks == tuple(set_mask(s) for s in fam.maximal)
+
+
 def pairwise_containers(masks):
     """Reference for ``_containers``: every mask lying inside another, mapped
     to the largest undominated mask containing it, the lowest index on ties."""

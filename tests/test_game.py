@@ -19,6 +19,7 @@ from ptakkit.game import (
     ConvexMean,
     FractionalCover,
     GameValueResult,
+    _PackedWeights,
     best_response,
     delta_exact,
     evaluate_mean,
@@ -226,6 +227,81 @@ def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
         assert all(sum((x[s] for s in fset), F(0)) <= 1 - sum(x) for fset in fam.maximal)
     assert ties > 0
     assert corpus_pivots == 8743
+
+
+# --- packed pricing -------------------------------------------------------------
+
+def fraction_heaviest(fam, x, active):
+    """Reference: Fraction weights, active sets as 0, the first of the largest."""
+    weights = [F(0) if i in active else sum((x[s] for s in fset), F(0))
+               for i, fset in enumerate(fam.maximal)]
+    best = max(weights)
+    return best, weights.index(best)
+
+
+def check_pricing(fam, nums, active, pricing=None):
+    pricing = pricing or _PackedWeights(fam)
+    got = pricing.heaviest(nums, active)
+    assert got == fraction_heaviest(fam, [F(v) for v in nums], set(active))
+    assert pricing.width % 64 == 0 and pricing.width >= fam.n
+    assert sum(nums) < 2 ** pricing.width
+    return got
+
+
+def random_nums(rng, n, bits):
+    return [rng.randrange(2 ** bits) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+
+def test_packed_pricing_on_wide_ground_sets():
+    """n > 64: every field spans two or more words from the start."""
+    rng = random.Random(15)
+    words = set()
+    for s in range(30):
+        fam = random_family(s, n=rng.randint(65, 200), max_sets=60)
+        pricing = _PackedWeights(fam)
+        words.add(pricing.width // 64)
+        for bits in (3, 40, 70):
+            active = rng.sample(range(len(fam.maximal)), rng.randint(0, len(fam.maximal) // 2))
+            check_pricing(fam, random_nums(rng, fam.n, bits), active, pricing)
+    assert words >= {2, 3, 4}
+
+
+@pytest.mark.parametrize("bits", [64, 65, 128, 129, 300])
+def test_packed_pricing_widens_for_large_weights(bits):
+    """Weights of 2**64 and more overflow a 64-bit field, and of 2**128 and
+    more a 128-bit one: the fields must widen to keep every set's weight."""
+    rng = random.Random(bits)
+    widened = 0
+    for fam in (random_family(3, n=20, max_sets=40), random_family(4, n=80, max_sets=40)):
+        pricing = _PackedWeights(fam)
+        before = pricing.width
+        for _ in range(5):
+            nums = [2 ** bits + rng.randrange(2 ** (bits - 2)) for _ in range(fam.n)]
+            check_pricing(fam, nums, rng.sample(range(len(fam.maximal)), 3), pricing)
+        assert (pricing.width > before) == (bits >= before)
+        widened += pricing.width > before
+    assert widened
+
+
+@pytest.mark.parametrize("n, k, scale", [(6, 3, 1), (14, 7, 1), (6, 3, 2 ** 70),
+                                         (70, 1, 1), (70, 1, 2 ** 130)])
+def test_packed_pricing_ties_go_to_the_lowest_index(n, k, scale):
+    """Under the uniform mean every set of C(n, k) weighs the same: the first
+    inactive set wins, in one-word and in multiword fields."""
+    fam = cardinality_bound_family(n, k)
+    nums = [scale] * n
+    for active in ([], [0], [0, 1, 2], [1, 3]):
+        weight, idx = check_pricing(fam, nums, active)
+        assert weight == k * scale
+        assert idx == min(set(range(len(fam.maximal))) - set(active))
+
+
+@pytest.mark.parametrize("fam", [cardinality_bound_family(5, 2), random_family(2, n=90, max_sets=12),
+                                 hereditary_closure([{0}], 1)])
+def test_packed_pricing_with_every_set_active(fam):
+    nums = [1 + s for s in range(fam.n)]
+    assert check_pricing(fam, nums, range(len(fam.maximal))) == (0, 0)
+    assert check_pricing(fam, [0] * fam.n, []) == (0, 0)
 
 
 # --- verify_certificate ---------------------------------------------------------

@@ -22,12 +22,15 @@ def ref_pivot(rows, z, basis, pr, pc):
     basis[pr] = pc
 
 
-def ref_bland(rows, z, basis, ncols):
+def ref_bland(rows, z, basis, ncols, entered=None):
+    """Bland's rule to optimality; appends each entering column to ``entered``."""
     pivots = 0
     while True:
         pc = next((j for j in range(ncols) if z[j] < 0), None)
         if pc is None:
             return pivots
+        if entered is not None:
+            entered.append(pc)
         ratios = [(row[-1] / row[pc], basis[i], i) for i, row in enumerate(rows) if row[pc] > 0]
         if not ratios:
             raise UnboundedError
@@ -35,13 +38,13 @@ def ref_bland(rows, z, basis, ncols):
         pivots += 1
 
 
-def ref_max_slack(c, A, b):
+def ref_max_slack(c, A, b, entered=None):
     m, n = len(A), len(c)
     rows = [[F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(b[i])]
             for i in range(m)]
     basis = list(range(n, n + m))
     z = [-F(v) for v in c] + [F(0)] * (m + 1)
-    pivots = ref_bland(rows, z, basis, n + m)
+    pivots = ref_bland(rows, z, basis, n + m, entered)
     x = [F(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
@@ -171,14 +174,20 @@ def test_artificial_pivoted_out_on_negative_entry():
     assert got.x == [F(1), F(2)]
 
 
-def test_max_slack_matches_rational_reference_and_duality():
-    rng = random.Random(7)
-    optimal = 0
-    for _ in range(400):
+def random_slack_lps(seed, count):
+    """``count`` seeded programs ``(c, A, b)`` for ``solve_max_slack``."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         c = [rand_frac(rng, -3, 5) for _ in range(n)]
         A = [[rand_frac(rng, -4, 4) for _ in range(n)] for _ in range(m)]
         b = [rand_frac(rng, 0, 6) for _ in range(m)]
+        yield c, A, b
+
+
+def test_max_slack_matches_rational_reference_and_duality():
+    optimal = 0
+    for c, A, b in random_slack_lps(7, 400):
         want = outcome(ref_max_slack, c, A, b)
         got = outcome(solve_max_slack, c, A, b)
         if isinstance(want, type):
@@ -193,13 +202,8 @@ def test_max_slack_matches_rational_reference_and_duality():
 
 def test_max_slack_is_min_general_on_negated_costs():
     # both entry points share one tableau: same pivots, same x, negated value
-    rng = random.Random(7)
     optimal = 0
-    for _ in range(400):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        c = [rand_frac(rng, -3, 5) for _ in range(n)]
-        A = [[rand_frac(rng, -4, 4) for _ in range(n)] for _ in range(m)]
-        b = [rand_frac(rng, 0, 6) for _ in range(m)]
+    for c, A, b in random_slack_lps(7, 400):
         want = outcome(solve_min_general, [-v for v in c], [(a, "<=", bi) for a, bi in zip(A, b)])
         got = outcome(solve_max_slack, c, A, b)
         if isinstance(want, type):
@@ -208,6 +212,25 @@ def test_max_slack_is_min_general_on_negated_costs():
         optimal += 1
         assert (got.objective, got.x, got.pivots) == (-want.objective, want.x, want.pivots)
     assert optimal > 100
+
+
+def test_max_slack_duals_after_a_slack_reenters():
+    """A slack that leaves the basis takes over a column of the condensed
+    tableau; when it later re-enters, its row's dual must again read 0 and
+    every other dual must still be its slack's reduced cost."""
+    reentered = 0
+    for seed in (7, 8):
+        for c, A, b in random_slack_lps(seed, 400):
+            entered = []
+            want = outcome(ref_max_slack, c, A, b, entered)
+            # every slack starts basic, so an entering slack had left before
+            if isinstance(want, type) or all(j < len(c) for j in entered):
+                continue
+            reentered += 1
+            got = solve_max_slack(c, A, b)
+            assert (got.objective, got.x, got.duals, got.pivots) == want
+            assert sum(y * bi for y, bi in zip(got.duals, b)) == got.objective
+    assert reentered > 0
 
 
 def test_unbounded_and_infeasible():
