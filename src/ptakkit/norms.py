@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Optional
 
 from .families import HereditaryFamily
@@ -117,22 +119,24 @@ def check_equivalence(fam: HereditaryFamily, x) -> EquivalenceReport:
 def min_ratio_nonneg(fam: HereditaryFamily) -> Fraction:
     """Minimum of fnorm(x)/l1(x) over nonzero x >= 0.
 
-    By homogeneity this is a minimum over the probability simplex, solved
-    here as a direct two-phase LP.  It equals the game value delta; the
-    callers that rely on the equality check it themselves.
+    For x >= 0 the family norm is the heaviest maximal set, ``max (Mx)_F``
+    over the incidence rows M.  Scaling x so that this is 1 turns the
+    minimum, by homogeneity, into ``1 / max{1.y : My <= 1, y >= 0}``, one
+    all-slack LP.  A label in no maximal set makes that LP unbounded and the
+    ratio 0, so it is answered without one.  This LP is not the game that
+    :func:`delta_exact` solves; the callers that rely on the two being equal
+    check it themselves.
     """
     n = fam.n
-    # variables: x_0..x_{n-1}, t ; minimize t
-    c = [0] * n + [1]
-    constraints = []
+    if reduce(or_, fam.masks, 0) != (1 << n) - 1:
+        return ZERO
+    A = []
     for fset in fam.maximal:
-        row = [0] * (n + 1)
+        row = [0] * n
         for s in fset:
             row[s] = 1
-        row[n] = -1
-        constraints.append((row, "<=", 0))
-    constraints.append(([1] * n + [0], "==", 1))
-    return solve_min_general(c, constraints).objective
+        A.append(row)
+    return -1 / solve_min_general([-1] * n, A, [1] * len(A)).objective
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,5 @@ def min_ratio_signed_bruteforce(fam: HereditaryFamily, grid: int) -> MinRatioPro
 
 def basis_vector_norms(fam: HereditaryFamily) -> dict[int, Fraction]:
     """fnorm of each coordinate unit vector: 1 when the label is covered."""
-    covered = 0
-    for mask in fam.masks:
-        covered |= mask
+    covered = reduce(or_, fam.masks, 0)
     return {s: (ONE if (covered >> s) & 1 else ZERO) for s in range(fam.n)}

@@ -178,6 +178,16 @@ def test_min_ratio_does_not_call_the_game_solver(monkeypatch):
     assert min_ratio_nonneg(maximal_cliques(5, cycle_edges(5))) == F(2, 5)
 
 
+def test_min_ratio_of_an_uncovered_label_is_zero_without_an_lp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an uncovered label needs no LP")
+
+    monkeypatch.setattr("ptakkit.norms.solve_min_general", refuse)
+    # no maximal set at all, and label 2 in none of the maximal sets
+    for fam in (hereditary_closure([], 2), hereditary_closure([{0, 1}, {1, 3}], 4)):
+        assert min_ratio_nonneg(fam) == 0 == delta_exact(fam).delta
+
+
 def test_min_ratio_equals_game_value_on_sample(corpus, corpus_values):
     for fam, res in list(zip(corpus, corpus_values))[:30]:
         assert min_ratio_nonneg(fam) == res.delta
