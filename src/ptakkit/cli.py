@@ -98,8 +98,7 @@ def cmd_delta(args, inputs):
 
 def cmd_certificate_verify(args, inputs):
     fam = _load(inputs, args.family, family_from_json_dict)
-    cert = _load(inputs, args.certificate,
-                 lambda d: GameValueResult.from_json_dict(d, validate=False))
+    cert = _load(inputs, args.certificate, GameValueResult.from_json_dict)
     result = verify_certificate(fam, cert)
     return result.ok, {"valid": result.ok, "reason": result.reason}
 

@@ -10,7 +10,7 @@ the independent fictitious-play oracle.
 from __future__ import annotations
 
 from array import array
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from sys import byteorder
@@ -24,42 +24,30 @@ from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 
 @dataclass(frozen=True)
 class _Weighting:
-    """Finitely supported weighting of nonnegative integer keys.
+    """Finitely supported weighting of integer keys, held without judging it.
 
-    Zero weights are dropped; with ``validate=True`` (the default) the keys
-    and weights must be nonnegative and the weights sum to exactly 1.
-    Subclasses name the weighting and its keys (``_noun``, ``_key``).
+    Keys become ``int`` and weights exact rationals (``as_fraction`` refuses
+    floats and bools); zero weights are dropped.  Whether the weights make a
+    mean or a cover for a family is for :func:`verify_certificate` to decide.
     """
 
     weights: Mapping[int, Fraction]
-    validate: InitVar[bool] = True
 
-    _allows_empty = False
-
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         cleaned = {int(k): as_fraction(w) for k, w in self.weights.items()}
-        cleaned = {k: w for k, w in cleaned.items() if w != 0}
-        object.__setattr__(self, "weights", cleaned)
-        if validate and (cleaned or not self._allows_empty):
-            if any(w < 0 for w in cleaned.values()):
-                raise ValueError(f"{self._noun} weights must be nonnegative")
-            if sum(cleaned.values(), ZERO) != 1:
-                raise ValueError(f"{self._noun} weights must sum to exactly 1")
-            if any(k < 0 for k in cleaned):
-                raise ValueError(f"negative {self._key} in {self._noun} support")
+        object.__setattr__(self, "weights", {k: w for k, w in cleaned.items() if w != 0})
 
     def to_json_dict(self) -> dict:
         return {str(k): format_rational(w) for k, w in sorted(self.weights.items())}
 
     @classmethod
-    def from_json_dict(cls, d: Mapping[str, str], validate: bool = True):
-        return cls({int(k): as_fraction(w) for k, w in d.items()}, validate=validate)
+    def from_json_dict(cls, d: Mapping[str, str]):
+        return cls(d)
 
 
 class ConvexMean(_Weighting):
-    """Probability weighting of ground-set labels."""
-
-    _noun, _key = "mean", "label"
+    """Weighting of ground-set labels; a probability weighting in a valid
+    certificate."""
 
     @property
     def support(self) -> frozenset[int]:
@@ -77,14 +65,9 @@ class ConvexMean(_Weighting):
 
 
 class FractionalCover(_Weighting):
-    """Probability weighting of the maximal sets, keyed by antichain index.
-
-    An empty cover is only meaningful for the family whose sole member is
-    the empty set (there is nothing to weight); validation allows it.
-    """
-
-    _noun, _key = "cover", "index"
-    _allows_empty = True
+    """Weighting of the maximal sets, keyed by antichain index; a probability
+    weighting in a valid certificate, or empty when the family's sole member
+    is the empty set (there is nothing to weight)."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +85,7 @@ class GameValueResult:
         }
 
     @classmethod
-    def from_json_dict(cls, d: Mapping, validate: bool = True) -> "GameValueResult":
+    def from_json_dict(cls, d: Mapping) -> "GameValueResult":
         if not isinstance(d, dict):
             raise ValueError("certificate file must contain a JSON object")
         for key in ("delta", "primal", "dual"):
@@ -112,8 +95,8 @@ class GameValueResult:
                 raise ValueError(f"certificate field {key!r} must be an object")
         return cls(
             delta=as_fraction(d["delta"]),
-            primal=ConvexMean.from_json_dict(d["primal"], validate=validate),
-            dual=FractionalCover.from_json_dict(d["dual"], validate=validate),
+            primal=ConvexMean.from_json_dict(d["primal"]),
+            dual=FractionalCover.from_json_dict(d["dual"]),
         )
 
 
@@ -123,10 +106,12 @@ def _weights_of(mean: Union[ConvexMean, Mapping[int, Fraction]]) -> Mapping[int,
 
 def _set_weights(fam: HereditaryFamily, weights: Mapping[int, Fraction]) -> tuple[list[int], int]:
     """Weight of each maximal set, as integers over the weights' least common
-    denominator.  The labels must already be checked to lie in the ground set."""
+    denominator.  A label outside the ground set raises ValueError."""
     nums, den = scaled_ints(list(weights.values()))
     per_label = [0] * fam.n
     for s, v in zip(weights, nums):
+        if not 0 <= s < fam.n:
+            raise ValueError(f"weight on label {s} outside ground set")
         per_label[s] = v
     weight_of = per_label.__getitem__
     return [sum(map(weight_of, fset)) for fset in fam.maximal], den
@@ -134,11 +119,7 @@ def _set_weights(fam: HereditaryFamily, weights: Mapping[int, Fraction]) -> tupl
 
 def evaluate_mean(fam: HereditaryFamily, mean: ConvexMean) -> Fraction:
     """Largest member weight: max over maximal sets F of the mass inside F."""
-    weights = _weights_of(mean)
-    for s in weights:
-        if not (0 <= s < fam.n):
-            raise ValueError(f"mean supported outside ground set: label {s}")
-    totals, den = _set_weights(fam, weights)
+    totals, den = _set_weights(fam, _weights_of(mean))
     return Fraction(max(0, max(totals, default=0)), den)
 
 
@@ -149,14 +130,11 @@ def best_response(fam: HereditaryFamily,
     invariant under positive rescaling.  Empty antichain: the empty set.
     """
     weights = _weights_of(mean)
-    for s, w in weights.items():
-        if not (0 <= s < fam.n):
-            raise ValueError(f"weight on label {s} outside ground set")
-        if w < 0:
-            raise ValueError("weights must be nonnegative")
-    if not fam.maximal:
-        return ()
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("weights must be nonnegative")
     totals, _ = _set_weights(fam, weights)
+    if not totals:
+        return ()
     # maximal sets are stored in lexicographic order, and max keeps the first
     return fam.maximal[max(range(len(totals)), key=totals.__getitem__)]
 

@@ -5,6 +5,7 @@ import os
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,15 +169,18 @@ def test_certificate_verify_round_trip(family_file, tmp_path, capsys):
 
 def test_certificate_verify_tampered_exit_1(family_file, tmp_path, capsys):
     _, out, _ = run(capsys, "delta", "--family", str(family_file))
-    payload = report_of(out)["certificate"]
-    payload["delta"] = "400001/1000000"
-    cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps(payload))
-    rc, out, _ = run(capsys, "certificate-verify", "--family", str(family_file),
-                     "--certificate", str(cert))
-    assert rc == 1
-    rep = report_of(out)
-    assert rep["valid"] is False and rep["reason"] == "primal-value"
+    good = report_of(out)["certificate"]
+    half_dual = {i: format_rational(Fraction(w) / 2) for i, w in good["dual"].items()}
+    for field, value, reason in [("delta", "400001/1000000", "primal-value"),
+                                 ("primal", {"0": "2/1", "1": "-1/1"}, "primal-negative"),
+                                 ("dual", half_dual, "dual-sum")]:
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({**good, field: value}))
+        rc, out, err = run(capsys, "certificate-verify", "--family", str(family_file),
+                           "--certificate", str(cert))
+        assert rc == 1 and err == ""
+        rep = report_of(out)
+        assert rep["valid"] is False and rep["reason"] == reason
 
 
 # --- norm / search / trace / interval-bound / oracle ----------------------------------

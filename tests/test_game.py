@@ -36,33 +36,19 @@ def c5():
     return maximal_cliques(5, cycle_edges(5))
 
 
-# --- ConvexMean / FractionalCover validation -----------------------------------
+# --- ConvexMean / FractionalCover construction -----------------------------------
 
-def test_mean_validation():
-    with pytest.raises(ValueError):
-        ConvexMean({0: F(1, 2)})  # does not sum to 1
-    with pytest.raises(ValueError):
-        ConvexMean({0: F(3, 2), 1: F(-1, 2)})
-    m = ConvexMean({0: F(1, 2), 1: F(1, 2), 2: F(0)})
-    assert m.support == frozenset({0, 1})
-
-
-def test_cover_validation():
-    with pytest.raises(ValueError):
-        FractionalCover({0: F(1, 2)})
-    assert FractionalCover({}).weights == {}
-
-
-@pytest.mark.parametrize("cls, weights, message", [
-    (ConvexMean, {-1: F(1)}, "negative label in mean support"),
-    (FractionalCover, {-1: F(1)}, "negative index in cover support"),
-    (ConvexMean, {}, "mean weights must sum to exactly 1"),
-    (FractionalCover, {0: F(2), 1: F(-1)}, "cover weights must be nonnegative"),
-])
-def test_validation_message_names_mean_or_cover(cls, weights, message):
-    with pytest.raises(ValueError, match=message):
-        cls(weights)
-    assert cls(weights, validate=False).weights == weights
+@pytest.mark.parametrize("cls", [ConvexMean, FractionalCover])
+def test_construction_coerces_keys_and_weights_and_drops_zeros(cls):
+    w = cls({"0": "1/2", 1: 1, 2: F(0), "3": "0/7", -1: F(-1, 3)})
+    assert w.weights == {0: F(1, 2), 1: F(1), -1: F(-1, 3)}
+    assert all(type(k) is int and type(v) is F for k, v in w.weights.items())
+    if cls is ConvexMean:
+        assert w.support == frozenset({0, 1, -1})
+    assert cls({}).weights == {}
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            cls({0: bad})
 
 
 # --- evaluate_mean ----------------------------------------------------------------
@@ -93,6 +79,8 @@ def test_evaluate_mean_empty_family_is_zero():
 def test_evaluate_mean_outside_ground():
     with pytest.raises(ValueError):
         evaluate_mean(cardinality_bound_family(2, 1), ConvexMean.point_mass(5))
+    with pytest.raises(ValueError):
+        evaluate_mean(cardinality_bound_family(2, 1), ConvexMean.point_mass(-1))
 
 
 # --- delta_exact -------------------------------------------------------------------
@@ -330,24 +318,20 @@ def test_verify_uniform_primal_on_c5():
 def test_verify_reason_codes():
     fam = hereditary_closure([{0}, {1}], 2)
     res = delta_exact(fam)
-    bad_primal = ConvexMean({0: F(2), 1: F(-1)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, bad_primal, res.dual)).reason == "primal-negative"
-    bad_sum = ConvexMean({0: F(1, 3)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, bad_sum, res.dual)).reason == "primal-sum"
-    bad_support = ConvexMean({7: F(1)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, bad_support, res.dual)).reason == "primal-support"
-    bad_dual = FractionalCover({0: F(1, 3)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, res.primal, bad_dual)).reason == "dual-sum"
-    bad_idx = FractionalCover({9: F(1)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, res.primal, bad_idx)).reason == "dual-index"
-    skew = FractionalCover({0: F(1)}, validate=False)
-    assert verify_certificate(
-        fam, GameValueResult(res.delta, res.primal, skew)).reason == "dual-coverage"
+    cases = [
+        (ConvexMean({0: F(2), 1: F(-1)}), res.dual, "primal-negative"),
+        (ConvexMean({0: F(1, 3)}), res.dual, "primal-sum"),
+        (ConvexMean({}), res.dual, "primal-sum"),
+        (ConvexMean({7: F(1)}), res.dual, "primal-support"),
+        (ConvexMean({-1: F(1)}), res.dual, "primal-support"),
+        (res.primal, FractionalCover({0: F(1, 3)}), "dual-sum"),
+        (res.primal, FractionalCover({9: F(1)}), "dual-index"),
+        (res.primal, FractionalCover({-1: F(1)}), "dual-index"),
+        (res.primal, FractionalCover({0: F(2), 1: F(-1)}), "dual-negative"),
+        (res.primal, FractionalCover({0: F(1)}), "dual-coverage"),
+    ]
+    for primal, dual, reason in cases:
+        assert verify_certificate(fam, GameValueResult(res.delta, primal, dual)).reason == reason
 
 
 # Fraction references for the integer kernels of evaluate_mean, _min_coverage
@@ -415,9 +399,9 @@ def tampered_certificates(fam, res, rng):
     deltas = [res.delta, res.delta + F(1, 97)]
     for delta in deltas:
         for p in primals:
-            yield GameValueResult(delta, ConvexMean(p, validate=False), res.dual)
+            yield GameValueResult(delta, ConvexMean(p), res.dual)
         for d in duals:
-            yield GameValueResult(delta, res.primal, FractionalCover(d, validate=False))
+            yield GameValueResult(delta, res.primal, FractionalCover(d))
 
 
 def test_weight_kernels_match_fraction_reference(corpus, corpus_values):
@@ -490,6 +474,13 @@ def test_best_response_scale_free():
 
 def test_best_response_empty_family():
     assert best_response(hereditary_closure([], 2), ConvexMean.point_mass(0)) == ()
+
+
+@pytest.mark.parametrize("weights", [{-1: F(1)}, {5: F(1)}, {0: F(2), 1: F(-1)}])
+def test_best_response_rejects_labels_outside_ground_set_and_negative_weights(weights):
+    for fam in (c5(), hereditary_closure([], 5)):
+        with pytest.raises(ValueError):
+            best_response(fam, weights)
 
 
 # --- strong duality on the corpus ------------------------------------------------
