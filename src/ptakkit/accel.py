@@ -20,9 +20,10 @@ the key's high digits are the payoff bound, so an iteration adds ``big`` to
 the chosen set's labels and one precomputed ``big * M[:, j]`` column to the
 row keys, and reads everything else off the keys.  The column keys are a
 Python list (there is one per label, and few labels); the row keys, one per
-maximal set, are an int64 array updated in place.  The counts are the keys'
-low digits and are recovered only at checkpoints.  The float width test runs
-only when a bound moved.
+maximal set, are an int64 array updated in place by ``np.add`` and read and
+decremented one at a time through a ``memoryview``, which costs less than
+indexing the array.  The counts are the keys' low digits and are recovered
+only at checkpoints.  The float width test runs only when a bound moved.
 
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
 next checkpoint (or ``max_iters``).  A checkpoint snaps each player's counts
@@ -30,17 +31,28 @@ only for the ``q`` that can still move that player's bound: a snapped lower
 bound ``num/q`` cannot exceed the current upper bound, so unless some
 ``num/q`` lies strictly above the lower bound and at most the upper bound,
 ``q`` is skipped (and symmetrically for the upper bound).  Once the bracket
-closes, no ``q`` survives and the checkpoint returns at once.  The survivors
-go in blocks bounded by entries, not by ``q``: a block holds as many ``q`` as
-keep both its snapped array and its product within ``_SNAP_ELEMS`` entries.
-Each block is rounded at once over the played strategies (floor and
-remainder by one ``divmod``, then one more for each remainder above the
-``deficit``-th largest and for the lowest-index ones tied with it until the
-deficit is met) and evaluated by one float64 matmul, which BLAS computes
-exactly (see ``SNAP_QMAX``).  The best ``q`` is then chosen in integers: the
-block keeps the ``q`` whose fraction beats the best bound so far, and the
-few survivors are folded in increasing ``q`` by the cross-multiplied test,
-so the first ``q`` with the strictly best fraction wins, as in a full scan.
+closes, no ``q`` survives and the checkpoint returns at once.
+
+Strategies played equally often snap alike, so the survivors are rounded by
+count class, not by strategy: a cardinality game has 3-8 classes among
+hundreds of sets.  Each class gets its floor and remainder by one
+``divmod``, and one more when its remainder lies above the ``deficit``-th
+largest; a single class tied at that cut gives its spare +1s to its
+lowest-index members, whose pay rows are prefix-summed so that any leading
+run of them is one row difference.  A ``q`` with two or more classes tied
+at the cut and +1s to spare goes through ``snapped_counts``, the
+per-strategy rounding.  Before the product, a ``q`` is dropped unless its
+payoff against the opponent's best reply to the unsnapped counts (the least
+covered label for the row player, the heaviest set for the column player)
+is strictly past the best bound: the worst case is at most that payoff.
+The ``q`` go in blocks bounded by entries, not by ``q``: a block holds as
+many ``q`` as keep its class arrays and its product within ``_SNAP_ELEMS``
+entries, and is evaluated by one float64 matmul of class weights by class
+pay sums, which BLAS computes exactly (see ``SNAP_QMAX``).  The best ``q``
+is then chosen in integers: the block keeps the ``q`` whose fraction beats
+the best bound so far, and the few survivors are folded in increasing ``q``
+by the cross-multiplied test, so the first ``q`` with the strictly best
+fraction wins, as in a full scan.
 numpy is imported inside the functions that use it, so importing the package
 does not load it.
 """
@@ -51,9 +63,11 @@ from itertools import compress
 
 # Largest snap denominator.  It also makes the float64 checkpoint product
 # exact: a row snapped to q has integer weights summing to q <= SNAP_QMAX, and
-# the payoffs are 0 or 1, so every product and every partial sum BLAS forms,
-# in whatever order or blocking and on however many threads, is an integer in
-# [0, SNAP_QMAX], far below 2**53, and every rounding step is exact.
+# the payoffs are 0 or 1, so every product and every partial sum BLAS forms of
+# class weights times class pay sums, in whatever order or blocking and on
+# however many threads, is an integer in [0, SNAP_QMAX]; the prefix sums added
+# to it are integers no larger than the number of strategies.  All are far
+# below 2**53, and every rounding step is exact.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
 _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
@@ -90,7 +104,9 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, oth
     fraction cannot pass ``other_n/other_d``, the opposite bound (by default
     the trivial 1 or 0, as payoffs are 0/1), so a ``q`` is snapped only if
     some ``num/q`` lies strictly past the best and not past the opposite
-    bound; no other ``q`` could replace the best.
+    bound; no other ``q`` could replace the best.  Nor can a ``q`` whose
+    payoff against the opponent's best reply to the unsnapped counts is not
+    strictly past the best, as the worst case is at most that payoff.
     """
     import numpy as np
 
@@ -107,11 +123,51 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, oth
     if not len(live):
         return best_n, best_d
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
-    counts, pay = counts[played], pay[played].astype(np.float64)
-    block = max(1, _SNAP_ELEMS // max(len(played), pay.shape[1]))
+    counts, pay = counts[played], pay[played]
+    payoff = counts @ pay
+    reply = payoff.argmin() if is_lower else payoff.argmax()
+    pay = pay.astype(np.float64)
+    # strategies with equal counts snap alike, so round each class once; its
+    # members, in index order, have their pay rows prefix-summed, so the
+    # first t members of the class starting at starts[c] pay
+    # prefix[starts[c] + t] - prefix[starts[c]]
+    values, cls, sizes = np.unique(counts, return_inverse=True, return_counts=True)
+    prefix = np.zeros((len(counts) + 1, pay.shape[1]))
+    np.cumsum(pay[np.argsort(cls, kind="stable")], axis=0, out=prefix[1:])
+    starts = np.cumsum(sizes) - sizes
+    totals = prefix[starts + sizes] - prefix[starts]
+    block = max(1, _SNAP_ELEMS // max(len(values), pay.shape[1]))
     for b in range(0, len(live), block):
         qs = live[b:b + block]
-        out = snapped_counts(counts, k, qs).astype(np.float64) @ pay
+        snapped, rem = np.divmod(values[None, :] * qs[:, None], k)
+        deficit = qs - snapped @ sizes
+        # the deficit-th largest remainder over strategies (0 if the deficit is
+        # 0): the class at the last sorted place that still has deficit
+        # strategies at or above it
+        order = np.argsort(rem, axis=1)
+        at_least = np.cumsum(sizes[order][:, ::-1], axis=1)[:, ::-1]
+        cut = np.take_along_axis(rem, order, axis=1)[
+            np.arange(len(qs)), (at_least >= np.maximum(deficit, 1)[:, None]).sum(axis=1) - 1]
+        above = rem > cut[:, None]
+        tied = rem == cut[:, None]
+        spare = deficit - above @ sizes  # tied strategies still owed +1
+        snapped += above
+        # the spare +1s go to the lowest-index tied strategies; within one
+        # class that is a prefix, across classes snapped_counts decides
+        mixed = (spare > 0) & (tied.sum(axis=1) > 1)
+        first = starts[tied.argmax(axis=1)]
+        extra = np.where(mixed, 0, spare)
+        # the payoff against the reply bounds the worst case
+        est = (snapped @ totals[:, reply] + prefix[first + extra, reply]
+               - prefix[first, reply]).astype(np.int64)
+        keep = mixed | (sign * (est * best_d - best_n * qs) > 0)
+        if not keep.any():
+            continue
+        qs, first, extra = qs[keep], first[keep], extra[keep]
+        out = snapped[keep] @ totals + (prefix[first + extra] - prefix[first])
+        mixed = mixed[keep]
+        if mixed.any():
+            out[mixed] = snapped_counts(counts, k, qs[mixed]) @ pay
         nums = (out.min(axis=1) if is_lower else out.max(axis=1)).astype(np.int64)
         better = sign * (nums * best_d - best_n * qs) > 0
         for q, num in zip(qs[better].tolist(), nums[better].tolist()):
@@ -134,6 +190,7 @@ def fp_bracket(M, max_iters, eps):
     set_labels = [list(compress(labels, row)) for row in M.tolist()]
     label_pay = list(np.ascontiguousarray(M.T * big))  # big * M[:, j] per label
     row_key = np.zeros(M.shape[0], np.int64)  # row_pay * big - row_cnt
+    row_view, row_argmax, add = memoryview(row_key), row_key.argmax, np.add
     col_key = [0] * M.shape[1]  # col_pay * big + col_cnt
     low_n, low_d, up_n, up_d = 0, 1, 1, 1
     margin = eps * (1.0 - 1e-9)
@@ -143,16 +200,16 @@ def fp_bracket(M, max_iters, eps):
         stop = min(next_cp, max_iters)
         while k < stop:
             k += 1
-            row_key[i] -= 1
+            row_view[i] -= 1
             for c in set_labels[i]:
                 col_key[c] += big
             key = min(col_key)
             j = col_key.index(key)  # least pay, least played, lowest index
             col_key[j] = key + 1
-            np.add(row_key, label_pay[j], out=row_key)
-            i = int(row_key.argmax())  # best pay, least played, lowest index
+            add(row_key, label_pay[j], out=row_key)
+            i = row_argmax()  # best pay, least played, lowest index
             lo = key // big
-            up = -(-row_key.item(i) // big)
+            up = -(-row_view[i] // big)
             # cross-multiplied comparisons keep the running bests exact; the
             # width changes only with a bound, and is first tested at k == 1
             moved = k == 1

@@ -114,6 +114,56 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
                 patch.setattr(accel, "snapped_counts", None)
                 bound = delta.numerator, delta.denominator
                 assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
+    # the states fp_bracket checkpoints, whose bounds let the opponent's
+    # best reply discard q that the opposite bound keeps
+    calls = []
+    with monkeypatch.context() as patch:
+        real = accel._snap_checkpoint
+        patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
+        accel.fp_bracket(M, 10**4, 1e-6)
+    for counts, k, pay, is_lower, best_n, best_d, other_n, other_d in calls:
+        got = accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d)
+        assert got == full_fold(counts, k, pay, is_lower, best_n, best_d)
+    assert not calls or max(reply_discards(*call) for call in calls) > 0
+
+
+def reply_discards(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
+    """How many q the opposite bound keeps but the payoff against the
+    opponent's best reply to the unsnapped counts rules out."""
+    sign = 1 if is_lower else -1
+    payoff = counts @ pay
+    reply = payoff.argmin() if is_lower else payoff.argmax()
+    best, other = Fraction(best_n, best_d), Fraction(other_n, other_d)
+    discarded = 0
+    for q in range(1, accel.SNAP_QMAX + 1):
+        reach = math.floor(other * q) if is_lower else math.ceil(other * q)
+        if sign * (Fraction(reach, q) - best) > 0:
+            snap = accel.snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
+            discarded += sign * (Fraction(int(snap @ pay[:, reply]), q) - best) <= 0
+    return discarded
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classes_tied_at_the_cut_snap_per_strategy(seed, monkeypatch):
+    # counts of 1 + 8x out of k = 4096 all leave the remainder 512 at q = 512,
+    # so every class ties at the cut with a deficit of one per 8 strategies
+    rng = np.random.default_rng(seed)
+    M = (rng.random((24, 16)) < 0.5).astype(np.int64)
+    k = 4096
+    ran = []
+    with monkeypatch.context() as patch:
+        real = accel.snapped_counts
+        patch.setattr(accel, "snapped_counts",
+                      lambda c, k, qs: ran.extend(qs.tolist()) or real(c, k, qs))
+        for is_lower, pay in ((True, M), (False, M.T)):
+            m = pay.shape[0]
+            counts = 1 + 8 * rng.multinomial((k - m) // 8, [1 / m] * m)
+            assert len(set(counts.tolist())) > 1 and counts.sum() == k
+            start = (0, 1) if is_lower else (1, 1)
+            ran.clear()
+            got = accel._snap_checkpoint(counts, k, pay, is_lower, *start)
+            assert accel.SNAP_QMAX in ran
+            assert got == full_fold(counts, k, pay, is_lower, *start)
 
 
 # (sets, labels, blocks of q for the row player): every q in one block, two
