@@ -6,6 +6,10 @@ antichain is sorted lexicographically, and the empty set is never listed (the
 empty antichain denotes the family whose only member is the empty set).
 Membership of ``A`` means ``A`` is empty or contained in some listed set, so
 downward closure is implicit.
+
+:class:`HereditaryFamily` is the one way to build a family: it takes label
+sets in any form and keeps their canonical antichain; :func:`hereditary_closure`
+is the same call.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import and_, lt
+from operator import and_, index, itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
 Label = int
@@ -35,10 +39,10 @@ def _check_enumeration(count: int, what: str) -> None:
 
 
 def normalize_set(members: ElementSet, n: int) -> tuple[int, ...]:
-    """Sorted, duplicate-free tuple of labels, validated against 0..n-1."""
-    out = tuple(sorted(set(int(m) for m in members)))
+    """Sorted, duplicate-free tuple of integer labels, validated against 0..n-1."""
+    out = tuple(sorted(set(map(index, members))))
     if out and (out[0] < 0 or out[-1] >= n):
-        raise ValueError(f"label out of range for ground set of size {n}: {out}")
+        raise ValueError(f"label out of range: {out}")
     return out
 
 
@@ -98,13 +102,31 @@ def _containers(sets: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
     return inside
 
 
+# Labels below this take their bit from a shared table; on larger ground sets
+# masks are summed from shifts, so no table grows with n.
+_BIT = [1 << label for label in range(256)]
+
+
+def _canonical_form(sets, n: int) -> bool:
+    """True if ``sets`` is a canonical antichain, the antichain test aside."""
+    return (type(sets) is tuple
+            and set(map(type, sets)) <= {tuple}
+            and all(map(len, sets))
+            and all([all(map(lt, s, s[1:])) for s in sets])
+            and (not sets or (min(map(itemgetter(0), sets)) >= 0
+                              and max(map(itemgetter(-1), sets)) < n))
+            and all(map(lt, sets, sets[1:])))
+
+
 @dataclass(frozen=True)
 class HereditaryFamily:
     """Canonical antichain representation of a downward-closed family.
 
-    Direct construction requires already-canonical data (use
-    :func:`hereditary_closure` for arbitrary input); violations raise
-    ValueError so a family object is trustworthy by construction.
+    ``maximal`` may be any iterable of label sets: the family is their
+    downward closure, stored as the inclusion-maximal nonempty sets, each an
+    ascending tuple, sorted lexicographically.  Duplicated, nested and empty
+    sets are dropped.  Input already in that form is stored as given.  A
+    label outside ``0..n-1`` or ``n < 1`` raises ValueError.
     """
 
     n: int
@@ -112,29 +134,21 @@ class HereditaryFamily:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("ground set must have at least one element")
-        # per-set checks at C speed: strictly ascending, then the end points in
-        # range, after which the mask is a sum of distinct label bits
-        bit = [1 << label for label in range(self.n)]
-        masks = []
-        for s in self.maximal:
-            if not s:
-                raise ValueError("empty set is implicit, never listed as maximal")
-            if not all(map(lt, s, s[1:])):
-                raise ValueError(f"maximal set not in ascending form: {s}")
-            if s[0] < 0 or s[-1] >= self.n:
-                raise ValueError(f"label out of range: {s}")
-            masks.append(sum(map(bit.__getitem__, s)))
-        if not all(map(lt, self.maximal, self.maximal[1:])):
-            raise ValueError("maximal sets not in strictly increasing lexicographic order")
-        inside = _containers(self.maximal, self.n)
+        sets = self.maximal
+        if not _canonical_form(sets, n):
+            sets = sorted({normalize_set(s, n) for s in sets})
+            if sets and not sets[0]:  # the empty set sorts first
+                del sets[0]
+        inside = _containers(sets, n)
         if inside:
-            i = min(inside)
-            raise ValueError(
-                f"not an antichain: {self.maximal[i]} within {self.maximal[inside[i]]}"
-            )
-        object.__setattr__(self, "masks", tuple(masks))
+            sets = [s for i, s in enumerate(sets) if i not in inside]
+        if sets is not self.maximal:
+            object.__setattr__(self, "maximal", tuple(sets))
+        bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
+        object.__setattr__(self, "masks", tuple([sum(map(bit, s)) for s in self.maximal]))
 
     @property
     def max_size(self) -> int:
@@ -145,17 +159,9 @@ class HereditaryFamily:
 
 
 def hereditary_closure(sets: Iterable[ElementSet], n: int) -> HereditaryFamily:
-    """Canonical antichain of the downward closure of ``sets`` plus the empty set.
-
-    Keeps exactly the containment-maximal inputs; idempotent.
-    """
-    normalized = {normalize_set(s, n) for s in sets}
-    normalized.discard(())
-    items = sorted(normalized)
-    inside = _containers(items, n)
-    return HereditaryFamily(
-        n=n, maximal=tuple(s for i, s in enumerate(items) if i not in inside)
-    )
+    """Canonical antichain of the downward closure of ``sets`` plus the empty
+    set: ``HereditaryFamily(n=n, maximal=sets)``."""
+    return HereditaryFamily(n=n, maximal=sets)
 
 
 def membership(fam: HereditaryFamily, members: ElementSet) -> bool:
@@ -190,12 +196,8 @@ def trace(fam: HereditaryFamily, subset: ElementSet) -> TraceResult:
         raise ValueError("trace subset must be non-empty")
     pos = {old: new for new, old in enumerate(h)}
     hmask = set_mask(h)
-    intersections = set()
-    for m in fam.masks:
-        inter = m & hmask
-        intersections.add(tuple(pos[o] for o in mask_to_tuple(inter)))
-    family = hereditary_closure(intersections, len(h))
-    return TraceResult(family=family, labels=h)
+    intersections = (map(pos.__getitem__, mask_to_tuple(m & hmask)) for m in fam.masks)
+    return TraceResult(family=hereditary_closure(intersections, len(h)), labels=h)
 
 
 def maximal_up_set(fam: HereditaryFamily, members: ElementSet) -> list[tuple[int, ...]]:
@@ -374,8 +376,8 @@ def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     _check_enumeration(comb(n, k), f"cardinality family C({n}, {k})")
-    # combinations come in lexicographic order; k = 0 leaves only the empty set
-    return HereditaryFamily(n=n, maximal=tuple(combinations(range(n), k)) if k else ())
+    # combinations come in lexicographic order
+    return HereditaryFamily(n=n, maximal=tuple(combinations(range(n), k)))
 
 
 def realize(spec: FamilySpec) -> HereditaryFamily:

@@ -9,6 +9,7 @@ the independent fictitious-play oracle.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,11 @@ class _Weighting:
 
     @classmethod
     def from_json_dict(cls, d: Mapping[str, str]):
+        """Read a JSON object whose keys are integers as ``str`` writes them,
+        so that no two keys (``"1"``, ``"01"``, ``"+1"``) name one label."""
+        for key in d:
+            if not re.fullmatch("0|-?[1-9][0-9]*", key):
+                raise ValueError(f"weight key {key!r} is not an integer in canonical form")
         return cls(d)
 
 

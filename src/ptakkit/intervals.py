@@ -1,11 +1,13 @@
 """Adequate families as intersection traces of interval systems in [0,1].
 
 Each ground-set label carries a finite union of closed rational
-subintervals; a set of labels is a member exactly when the corresponding
-interval sets share a common point.  The family is computed by an endpoint
-sweep: stabilizer sets are read off at every endpoint and at the midpoint of
-every gap between consecutive endpoints (closed intervals can meet in a
-single shared endpoint, so endpoints must be sampled themselves).
+subintervals, an :class:`IntervalSet`, which takes its pieces in any order
+and stores them sorted and merged.  A set of labels is a member exactly when
+the corresponding interval sets share a common point.  The family is
+computed by an endpoint sweep: stabilizer sets are read off at every endpoint
+and at the midpoint of every gap between consecutive endpoints (closed
+intervals can meet in a single shared endpoint, so endpoints must be sampled
+themselves).
 
 The minimum Lebesgue measure of the interval sets lower-bounds the game
 value of the traced family: any mean gives the indicator average
@@ -34,37 +36,26 @@ Piece = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of closed rational intervals within [0,1].
+    """Finite union of closed rational intervals within [0,1], held canonically.
 
-    Pieces are sorted, pairwise disjoint and non-touching (touching closed
-    pieces merge); degenerate points [a,a] are allowed.  Non-canonical direct
-    construction raises; use :meth:`from_pieces` to canonicalize.
+    ``pieces`` may list closed pieces ``(a, b)`` in any order, overlapping or
+    touching; they are stored sorted and merged, so the stored pieces are
+    pairwise disjoint and non-touching.  Degenerate points [a,a] are kept.  A
+    piece that is inverted or leaves [0,1] raises ValueError.
     """
 
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        pieces = tuple((as_fraction(a), as_fraction(b)) for a, b in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        prev_b = None
-        for a, b in pieces:
+        merged: list[list[Fraction]] = []
+        for a, b in sorted((as_fraction(a), as_fraction(b)) for a, b in self.pieces):
             if not (0 <= a <= b <= 1):
                 raise ValueError(f"piece [{a}, {b}] not within [0,1] or inverted")
-            if prev_b is not None and a <= prev_b:
-                raise ValueError("pieces must be sorted, disjoint and non-touching")
-            prev_b = b
-
-    @classmethod
-    def from_pieces(cls, pieces: Iterable[Sequence]) -> "IntervalSet":
-        """Sort and merge arbitrary closed pieces into canonical form."""
-        items = sorted((as_fraction(p[0]), as_fraction(p[1])) for p in pieces)
-        merged: list[list[Fraction]] = []
-        for a, b in items:
             if merged and a <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
-        return cls(tuple((a, b) for a, b in merged))
+        object.__setattr__(self, "pieces", tuple((a, b) for a, b in merged))
 
     @property
     def is_empty(self) -> bool:
@@ -86,7 +77,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet.from_pieces(out)
+        return IntervalSet(out)
 
     def to_json_list(self) -> list:
         return [[format_rational(a), format_rational(b)] for a, b in self.pieces]
@@ -96,7 +87,7 @@ class IntervalSet:
         for p in data:
             if not isinstance(p, list) or len(p) != 2:
                 raise ValueError(f"piece {p!r} must be a list of two endpoints")
-        return cls.from_pieces(data)
+        return cls(data)
 
 
 @dataclass(frozen=True)
@@ -248,5 +239,5 @@ def random_system(seed: int, n: int, pieces_per_set: int,
         for length, gap in zip(lengths, gaps[1:]):
             pieces.append((Fraction(pos, D), Fraction(pos + length, D)))
             pos += length + gap
-        sets.append(IntervalSet.from_pieces(pieces))
+        sets.append(IntervalSet(pieces))
     return IntervalSystem(tuple(sets))

@@ -183,6 +183,20 @@ def test_certificate_verify_tampered_exit_1(family_file, tmp_path, capsys):
         assert rep["valid"] is False and rep["reason"] == reason
 
 
+def test_certificate_with_colliding_keys_exit_2(tmp_path, capsys):
+    """"0" and "00" would both name label 0, and the last one read would win."""
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 2, "maximal": [[0], [1]]}))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"delta": "1/2", "primal": {"0": "1/2", "00": "1/2", "1": "1/2"},
+                                "dual": {"0": "1/2", "1": "1/2"}}))
+    rc, out, err = run(capsys, "certificate-verify", "--family", str(fam),
+                       "--certificate", str(cert))
+    assert rc == 2 and out == ""
+    assert err == (f"ptakkit certificate-verify: {cert}: "
+                   "weight key '00' is not an integer in canonical form\n")
+
+
 # --- norm / search / trace / interval-bound / oracle ----------------------------------
 
 def test_norm_command(family_file, tmp_path, capsys):

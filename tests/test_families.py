@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -95,51 +96,117 @@ def test_closure_label_out_of_range():
         hereditary_closure([{-1}], 3)
 
 
-def test_direct_construction_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        HereditaryFamily(n=3, maximal=((0, 1), (1,)))  # not an antichain
-    with pytest.raises(ValueError):
-        HereditaryFamily(n=3, maximal=((1, 0),))  # not ascending
-    with pytest.raises(ValueError):
-        HereditaryFamily(n=0, maximal=())
-    with pytest.raises(ValueError, match="order"):
-        HereditaryFamily(n=3, maximal=((0, 2), (0, 2)))  # duplicated set
-    with pytest.raises(ValueError, match="order"):
-        HereditaryFamily(n=3, maximal=((1, 2), (0, 2)))  # not lexicographic
-    with pytest.raises(ValueError, match=r"\(0, 1\) within \(0, 1, 2\)"):
-        HereditaryFamily(n=3, maximal=((0, 1), (0, 1, 2)))  # container sorts after
-    with pytest.raises(ValueError, match=r"\(64, 70\) within \(3, 64, 70\)"):
-        HereditaryFamily(n=80, maximal=((3, 64, 70), (64, 70)))  # masks beyond 64 bits
+def pairwise_closure(sets, n):
+    """Reference for construction: the distinct nonempty label sets that lie
+    inside no other one, found by comparing every pair, in sorted order."""
+    distinct = {frozenset(s) for s in sets} - {frozenset()}
+    assert all(0 <= label < n for s in distinct for label in s)
+    return tuple(sorted(tuple(sorted(a)) for a in distinct
+                        if not any(a < b for b in distinct)))
 
 
-@pytest.mark.parametrize("n, maximal, message", [
+def messy_inputs(rng, n):
+    """Label lists with duplicated, empty and nested sets among them, and
+    labels listed twice, in no order."""
+    sets = []
+    for _ in range(rng.randint(0, 12)):
+        base = rng.sample(range(n), rng.randint(0, n))
+        sets.append(base)
+        for _ in range(rng.randint(0, 2)):
+            sets.append(rng.sample(base, rng.randint(0, len(base))))
+        if base and rng.random() < 0.3:
+            sets.append(base + base[:1])
+    rng.shuffle(sets)
+    return sets
+
+
+def test_construction_matches_pairwise_closure():
+    rng = random.Random(53)
+    kinds = (list, set, frozenset, tuple, lambda s: (x for x in s))
+    containers = (list, tuple, set, iter)
+    checked = {"nested": 0, "duplicated": 0, "empty": 0, "beyond 256 labels": 0}
+    for _ in range(400):
+        n = rng.choice((1, 3, 8, 70, 300))
+        sets = messy_inputs(rng, n)
+        expected = pairwise_closure(sets, n)
+        dressed = [rng.choice(kinds)(s) for s in sets]
+        if all(isinstance(s, (tuple, frozenset)) for s in dressed):
+            dressed = rng.choice(containers)(dressed)
+        fam = HereditaryFamily(n=n, maximal=dressed)
+        assert fam.maximal == expected
+        assert type(fam.maximal) is tuple and all(type(s) is tuple for s in fam.maximal)
+        assert fam.masks == tuple(set_mask(s) for s in expected)
+        assert hereditary_closure(sets, n) == fam
+        distinct = {frozenset(s) for s in sets}
+        checked["nested"] += len(expected) < len(distinct - {frozenset()})
+        checked["duplicated"] += len(distinct) < len(sets)
+        checked["empty"] += frozenset() in distinct
+        checked["beyond 256 labels"] += n > 256 and bool(expected)
+    assert min(checked.values()) >= 40, checked
+
+
+def test_permuted_input_gives_equal_family_and_canonical_input_is_kept():
+    rng = random.Random(59)
+    for seed in range(40):
+        fam = random_family(seed, n=None, max_sets=20)
+        sets = [list(s) for s in fam.maximal] + [[]] + [list(s[:1]) for s in fam.maximal]
+        for _ in range(3):
+            rng.shuffle(sets)
+            for s in sets:
+                rng.shuffle(s)
+            again = HereditaryFamily(n=fam.n, maximal=sets)
+            assert again == fam and hash(again) == hash(fam)
+            assert again.masks == fam.masks
+        given = fam.maximal
+        assert HereditaryFamily(n=fam.n, maximal=given).maximal is given
+
+
+@pytest.mark.parametrize("n, maximal, expected", [
     (0, ((1, 0),), "ground set must have at least one element"),
-    (3, ((),), "empty set is implicit, never listed as maximal"),
-    (3, ((0,), ()), "empty set is implicit, never listed as maximal"),
-    (3, ((1, 0),), "maximal set not in ascending form: (1, 0)"),
-    (3, ((0, 0),), "maximal set not in ascending form: (0, 0)"),
-    (3, ((2, 1, 5),), "maximal set not in ascending form: (2, 1, 5)"),
+    (3, ((),), ()),
+    (3, ((0,), ()), ((0,),)),
+    (3, ((1, 0),), ((0, 1),)),
+    (3, ((0, 0),), ((0,),)),
+    (3, ((2, 1, 5),), "label out of range: (1, 2, 5)"),
     (3, ((0, 3),), "label out of range: (0, 3)"),
     (3, ((-1, 0),), "label out of range: (-1, 0)"),
     (3, ((5,), (1, 0)), "label out of range: (5,)"),
-    (3, ((1, 0), (5,)), "maximal set not in ascending form: (1, 0)"),
+    (3, ((1, 0), (5,)), "label out of range: (5,)"),
     (3, ((1, 2), (0, 5)), "label out of range: (0, 5)"),
-    (3, ((1, 2), (0, 2)), "maximal sets not in strictly increasing lexicographic order"),
-    (3, ((0, 1, 2), (0, 1)), "maximal sets not in strictly increasing lexicographic order"),
-    (3, ((0, 1), (0, 1, 2)), "not an antichain: (0, 1) within (0, 1, 2)"),
-    (3, ((0, 1), (0, 1, 2), (1,)), "not an antichain: (0, 1) within (0, 1, 2)"),
+    (3, ((1, 2), (0, 2)), ((0, 2), (1, 2))),
+    (3, ((0, 1, 2), (0, 1)), ((0, 1, 2),)),
+    (3, ((0, 1), (0, 1, 2)), ((0, 1, 2),)),
+    (3, ((0, 1), (0, 1, 2), (1,)), ((0, 1, 2),)),
 ])
-def test_direct_construction_messages_and_their_order(n, maximal, message):
-    """Each check names what failed; per-set checks run set by set, then the
-    order check, then the antichain check."""
-    with pytest.raises(ValueError) as exc:
-        HereditaryFamily(n=n, maximal=maximal)
-    assert str(exc.value) == message
+def test_direct_construction_messages_and_their_order(n, maximal, expected):
+    """Inputs out of order, unsorted, nested or listing the empty set are
+    canonicalized.  ``n < 1`` is refused first; then the first set in input
+    order holding a label outside 0..n-1 is named, sorted."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            HereditaryFamily(n=n, maximal=maximal)
+        assert str(exc.value) == expected
+    else:
+        assert HereditaryFamily(n=n, maximal=maximal).maximal == expected
 
 
 def test_direct_construction_masks():
     fam = HereditaryFamily(n=80, maximal=((0, 5, 79), (1, 64), (2,)))
     assert fam.masks == tuple(set_mask(s) for s in fam.maximal)
+    fam = HereditaryFamily(n=1000, maximal=((0, 255, 256, 999), (1, 64), (300,)))
+    assert fam.masks == tuple(set_mask(s) for s in fam.maximal)
+
+
+def test_construction_memory_does_not_grow_with_the_square_of_n():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = HereditaryFamily(n=50_000, maximal=((0,),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.masks == (1,)
+    assert peak - before < 5 * 2**20
 
 
 def pairwise_containers(masks):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -558,3 +559,19 @@ def test_certificate_json_round_trip():
     assert verify_certificate(fam, back)
     with pytest.raises(ValueError):
         GameValueResult.from_json_dict({"delta": "1/2"})
+
+
+@pytest.mark.parametrize("key", ["00", " 1", "1 ", "+1", "1_0", "-0", "0x1", "", "a"])
+def test_certificate_keys_must_be_canonical_integers(key):
+    """int() reads each of these keys, or fails on it; a key that int() reads
+    could name the same label as another, so every one is refused by name."""
+    fam = hereditary_closure([{0}, {1}], 2)
+    half = "1/2"
+    data = {"delta": half, "primal": {"0": half, "1": half}, "dual": {"0": half, "1": half}}
+    assert verify_certificate(fam, GameValueResult.from_json_dict(data))
+    for field in ("primal", "dual"):
+        bad = {**data, field: {**data[field], key: half}}
+        with pytest.raises(ValueError, match=re.escape(f"weight key {key!r}")):
+            GameValueResult.from_json_dict(bad)
+    negative = {**data, "primal": {"-1": half, "0": half, "1": half}}
+    assert GameValueResult.from_json_dict(negative).primal.weights[-1] == F(1, 2)

@@ -21,7 +21,7 @@ F = Fraction
 
 
 def system_of(*pieces_lists):
-    return IntervalSystem(tuple(IntervalSet.from_pieces(p) for p in pieces_lists))
+    return IntervalSystem(tuple(IntervalSet(p) for p in pieces_lists))
 
 
 def brute_membership(sysm, labels):
@@ -45,35 +45,65 @@ def test_measure_degenerate_point():
 
 
 def test_canonicalization_sorts_merges_touching():
-    s = IntervalSet.from_pieces([(F(1, 2), F(1)), (F(0), F(1, 2))])
+    s = IntervalSet([(F(1, 2), F(1)), (F(0), F(1, 2))])
     assert s.pieces == ((F(0), F(1)),)
-    s = IntervalSet.from_pieces([(F(0), F(1, 4)), (F(1, 8), F(1, 2))])
+    s = IntervalSet([(F(0), F(1, 4)), (F(1, 8), F(1, 2))])
     assert s.pieces == ((F(0), F(1, 2)),)
 
 
 def test_canonicalization_preserves_isolated_points():
-    s = IntervalSet.from_pieces([(F(1, 3), F(1, 3)), (F(2, 3), F(1))])
+    s = IntervalSet([(F(1, 3), F(1, 3)), (F(2, 3), F(1))])
     assert s.pieces == ((F(1, 3), F(1, 3)), (F(2, 3), F(1)))
 
 
-def test_non_canonical_direct_construction_rejected():
-    with pytest.raises(ValueError):
-        IntervalSet(((F(1, 2), F(1)), (F(0), F(1, 4))))  # unsorted
-    with pytest.raises(ValueError):
-        IntervalSet(((F(0), F(1, 2)), (F(1, 2), F(1))))  # touching, unmerged
-    with pytest.raises(ValueError):
-        IntervalSet(((F(1, 2), F(1, 4)),))  # inverted
-    with pytest.raises(ValueError):
-        IntervalSet(((F(-1, 4), F(1, 2)),))  # outside [0,1]
+def sort_and_merge(pieces):
+    """Reference for construction: sort the pieces, then merge each into the
+    last kept one when it starts at or before that one's end."""
+    merged = []
+    for a, b in sorted((F(a), F(b)) for a, b in pieces):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+def test_construction_matches_sort_and_merge():
+    rng = random.Random(61)
+    checked = {"unsorted": 0, "touching": 0, "overlapping": 0}
+    for _ in range(600):
+        pieces = []
+        for _ in range(rng.randint(0, 6)):
+            a = rng.randint(0, 8)
+            b = a if rng.random() < 0.2 else rng.randint(a, 8)
+            pieces.append((F(a, 8), F(b, 8)))
+        s = IntervalSet(rng.choice((list, tuple))(pieces))
+        assert s.pieces == sort_and_merge(pieces)
+        assert IntervalSet(s.pieces) == s
+        assert all(type(x) is F for piece in s.pieces for x in piece)
+        ordered = sorted(pieces)
+        checked["unsorted"] += ordered != pieces
+        checked["touching"] += any(p[1] == q[0] for p, q in zip(ordered, ordered[1:]))
+        checked["overlapping"] += any(p[1] > q[0] for p, q in zip(ordered, ordered[1:]))
+    assert min(checked.values()) >= 100, checked
+
+
+def test_construction_rejects_inverted_or_outside_pieces():
+    for pieces in ([(F(1, 2), F(1, 4))],  # inverted
+                   [(F(0), F(1)), (F(1, 2), F(1, 4))],  # inverted inside a larger piece
+                   [(F(-1, 4), F(1, 2))],  # outside [0,1]
+                   [(F(1, 2), F(5, 4)), (F(0), F(1))]):
+        with pytest.raises(ValueError, match="not within"):
+            IntervalSet(pieces)
 
 
 def test_intersect_two_pointer():
-    a = IntervalSet.from_pieces([(0, F(1, 2)), (F(3, 4), 1)])
-    b = IntervalSet.from_pieces([(F(1, 4), F(7, 8))])
+    a = IntervalSet([(0, F(1, 2)), (F(3, 4), 1)])
+    b = IntervalSet([(F(1, 4), F(7, 8))])
     assert a.intersect(b).pieces == ((F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)))
     # closed sets meeting in a single point keep the point
-    c = IntervalSet.from_pieces([(0, F(1, 2))])
-    d = IntervalSet.from_pieces([(F(1, 2), 1)])
+    c = IntervalSet([(0, F(1, 2))])
+    d = IntervalSet([(F(1, 2), 1)])
     assert c.intersect(d).pieces == ((F(1, 2), F(1, 2)),)
 
 
@@ -103,7 +133,7 @@ def test_trace_detects_shared_endpoint():
 
 
 def test_trace_empty_interval_set_leaves_label_uncovered():
-    sysm = IntervalSystem((IntervalSet.from_pieces([]), IntervalSet(((F(0), F(1)),))))
+    sysm = IntervalSystem((IntervalSet([]), IntervalSet(((F(0), F(1)),))))
     fam = trace_family(sysm)
     assert fam.maximal == ((1,),)
     assert not membership(fam, [0])
@@ -145,7 +175,7 @@ def grid_system(rng, n):
             a = rng.randint(0, 8)
             b = a if rng.random() < 0.3 else rng.randint(a, 8)
             pieces.append((F(a, 8), F(b, 8)))
-        sets.append(IntervalSet.from_pieces(pieces))
+        sets.append(IntervalSet(pieces))
     return IntervalSystem(tuple(sets))
 
 
@@ -251,7 +281,7 @@ def test_helly_not_applicable_multi_piece():
     with pytest.raises(NotApplicableError):
         helly_check(sysm)
     with pytest.raises(NotApplicableError):
-        helly_check(IntervalSystem((IntervalSet.from_pieces([]),)))
+        helly_check(IntervalSystem((IntervalSet([]),)))
 
 
 # --- random_system --------------------------------------------------------------------------
