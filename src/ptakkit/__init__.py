@@ -10,7 +10,6 @@ from .families import (
     FamilySpec,
     HereditaryFamily,
     TraceResult,
-    all_members,
     cardinality_bound_family,
     cycle_edges,
     family_from_json_dict,
@@ -30,7 +29,6 @@ from .game import (
     FractionalCover,
     GameValueResult,
     VerificationResult,
-    best_response,
     delta_exact,
     evaluate_mean,
     fictitious_play,
@@ -50,7 +48,6 @@ from .norms import (
     EquivalenceReport,
     FamilyVector,
     MinRatioProbe,
-    basis_vector_norms,
     check_equivalence,
     f_norm,
     l1_norm,

@@ -115,12 +115,9 @@ def cmd_norm(args, inputs):
 
 
 def cmd_search(args, inputs):
-    if args.budget is not None:
-        _at_least("--budget", args.budget, 0)
     fam = _load(inputs, args.family, family_from_json_dict)
-    res = max_member(fam, budget=args.budget)
-    best = res if res.optimal else max_member(fam)
-    bound = BoundReport(delta_exact(fam).delta, fam.n, best.size)
+    res = max_member(fam)
+    bound = BoundReport(delta_exact(fam).delta, fam.n, res.size)
     return bound.ok, {"best": list(res.best), "size": res.size,
                       "nodes_explored": res.nodes_explored, "optimal": res.optimal,
                       "bound_check": bound.to_json_dict()}
@@ -220,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
             ["--family", "--certificate"])
     command("norm", cmd_norm, "family norm and l1 sandwich report", ["--family", "--vector"])
 
-    p = command("search", cmd_search, "maximum member search with size guarantee",
-                ["--family"])
-    p.add_argument("--budget", type=int, default=None, help="maximal sets examined")
+    command("search", cmd_search, "maximum member search with size guarantee", ["--family"])
 
     p = command("trace", cmd_trace, "trace the family to a label subset", ["--family"])
     p.add_argument("--subset", required=True, help="comma-separated labels, e.g. 0,2,5")

@@ -150,10 +150,6 @@ class HereditaryFamily:
         bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
         object.__setattr__(self, "masks", tuple([sum(map(bit, s)) for s in self.maximal]))
 
-    @property
-    def max_size(self) -> int:
-        return max((len(s) for s in self.maximal), default=0)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "maximal": [list(s) for s in self.maximal]}
 
@@ -223,20 +219,6 @@ def maximal_up_set(fam: HereditaryFamily, members: ElementSet) -> list[tuple[int
 def is_full_powerset(fam: HereditaryFamily) -> bool:
     """True iff the whole ground set is a member."""
     return any(len(s) == fam.n for s in fam.maximal)
-
-
-def all_members(fam: HereditaryFamily) -> list[tuple[int, ...]]:
-    """Every member (including the empty set), lexicographically sorted.
-
-    Exponential in member sizes; intended for desk-scale ground sets.
-    """
-    _check_enumeration(sum(1 << len(s) for s in fam.maximal), "all_members")
-    found = {()}
-    for s in fam.maximal:
-        for r in range(1, len(s) + 1):
-            for sub in combinations(s, r):
-                found.add(sub)
-    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
+from operator import index
 from sys import byteorder
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from . import accel
 from .families import HereditaryFamily
@@ -27,15 +28,17 @@ from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 class _Weighting:
     """Finitely supported weighting of integer keys, held without judging it.
 
-    Keys become ``int`` and weights exact rationals (``as_fraction`` refuses
-    floats and bools); zero weights are dropped.  Whether the weights make a
-    mean or a cover for a family is for :func:`verify_certificate` to decide.
+    Keys are read with ``operator.index``, so a float or ``str`` key raises
+    TypeError rather than being truncated; weights become exact rationals
+    (``as_fraction`` refuses floats and bools), and zero weights are dropped.
+    Whether the weights make a mean or a cover for a family is for
+    :func:`verify_certificate` to decide.
     """
 
     weights: Mapping[int, Fraction]
 
     def __post_init__(self):
-        cleaned = {int(k): as_fraction(w) for k, w in self.weights.items()}
+        cleaned = {index(k): as_fraction(w) for k, w in self.weights.items()}
         object.__setattr__(self, "weights", {k: w for k, w in cleaned.items() if w != 0})
 
     def to_json_dict(self) -> dict:
@@ -48,7 +51,7 @@ class _Weighting:
         for key in d:
             if not re.fullmatch("0|-?[1-9][0-9]*", key):
                 raise ValueError(f"weight key {key!r} is not an integer in canonical form")
-        return cls(d)
+        return cls({int(k): w for k, w in d.items()})
 
 
 class ConvexMean(_Weighting):
@@ -106,10 +109,6 @@ class GameValueResult:
         )
 
 
-def _weights_of(mean: Union[ConvexMean, Mapping[int, Fraction]]) -> Mapping[int, Fraction]:
-    return mean.weights if isinstance(mean, ConvexMean) else mean
-
-
 def _set_weights(fam: HereditaryFamily, weights: Mapping[int, Fraction]) -> tuple[list[int], int]:
     """Weight of each maximal set, as integers over the weights' least common
     denominator.  A label outside the ground set raises ValueError."""
@@ -125,24 +124,8 @@ def _set_weights(fam: HereditaryFamily, weights: Mapping[int, Fraction]) -> tupl
 
 def evaluate_mean(fam: HereditaryFamily, mean: ConvexMean) -> Fraction:
     """Largest member weight: max over maximal sets F of the mass inside F."""
-    totals, den = _set_weights(fam, _weights_of(mean))
+    totals, den = _set_weights(fam, mean.weights)
     return Fraction(max(0, max(totals, default=0)), den)
-
-
-def best_response(fam: HereditaryFamily,
-                  mean: Union[ConvexMean, Mapping[int, Fraction]]) -> tuple[int, ...]:
-    """A maximal set of largest weight; ties go to the lexicographically
-    smallest set.  Accepts unnormalized nonnegative weights, so the choice is
-    invariant under positive rescaling.  Empty antichain: the empty set.
-    """
-    weights = _weights_of(mean)
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be nonnegative")
-    totals, _ = _set_weights(fam, weights)
-    if not totals:
-        return ()
-    # maximal sets are stored in lexicographic order, and max keeps the first
-    return fam.maximal[max(range(len(totals)), key=totals.__getitem__)]
 
 
 def _min_coverage(fam: HereditaryFamily, cover: FractionalCover) -> Fraction:
@@ -359,7 +342,7 @@ def fictitious_play(fam: HereditaryFamily, max_iters: int,
     (alternating updates, first-index tie-breaking); the tightest certified
     bounds seen are kept.  Bounds are exact rationals, so the returned
     bracket genuinely contains the value; ``converged`` reports whether the
-    width reached ``epsilon`` within the budget.
+    width reached ``epsilon`` within ``max_iters`` iterations.
     """
     epsilon = as_fraction(epsilon)
     if max_iters < 1:

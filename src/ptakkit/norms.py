@@ -19,7 +19,7 @@ from typing import Optional
 from .families import HereditaryFamily
 from .game import delta_exact
 from .lp import solve_min_general
-from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
+from .rationals import ZERO, as_fraction, format_rational, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,3 @@ def min_ratio_signed_bruteforce(fam: HereditaryFamily, grid: int) -> MinRatioPro
         raise ValueError("grid produced no nonzero vector")
     witness = tuple(Fraction(v, grid) for v in best_vec)
     return MinRatioProbe(ratio=best, witness=witness)
-
-
-def basis_vector_norms(fam: HereditaryFamily) -> dict[int, Fraction]:
-    """fnorm of each coordinate unit vector: 1 when the label is covered."""
-    covered = reduce(or_, fam.masks, 0)
-    return {s: (ONE if (covered >> s) & 1 else ZERO) for s in range(fam.n)}

@@ -224,23 +224,11 @@ def test_search_command_searches_once(family_file, capsys, count_calls):
     assert len(calls) == 1
 
 
-def test_search_truncated_by_budget_checks_bound_on_full_search(tmp_path, capsys):
-    fam = tmp_path / "c5.json"
-    run(capsys, "gen", "--kind", "cycle-cliques", "--n", "5", "--out", str(fam))
-    rc, out, _ = run(capsys, "search", "--family", str(fam), "--budget", "1")
-    assert rc == 0
-    rep = report_of(out)
-    assert rep["best"] == [0, 1] and rep["size"] == 2 and rep["nodes_explored"] == 1
-    assert rep["optimal"] is False
-    assert rep["bound_check"] == {"delta": "2/5", "n": 5, "bound": 2, "achieved": 2,
-                                  "ok": True}
-
-
-def test_search_budget_zero_is_valid(family_file, capsys):
-    rc, out, _ = run(capsys, "search", "--family", str(family_file), "--budget", "0")
-    assert rc == 0
-    rep = report_of(out)
-    assert rep["nodes_explored"] == 0 and rep["optimal"] is False
+def test_search_budget_flag_is_rejected(family_file):
+    # the search always scans every maximal set, so there is no budget to set
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--family", str(family_file), "--budget", "1"])
+    assert exc.value.code == 2
 
 
 def test_trace_command(family_file, capsys):
@@ -289,8 +277,6 @@ def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
     ("oracle", "--max-iters", "0"),
     ("oracle", "--max-iters", "-3"),
     ("oracle", "--max-iters", "1000000001"),
-    ("search", "--budget", "-1"),
-    ("search", "--budget", "-5"),
 ])
 def test_bad_flag_exit_2_names_flag(family_file, capsys, command, flag, value):
     rc, out, err = run(capsys, command, "--family", str(family_file), f"{flag}={value}")

@@ -10,7 +10,6 @@ import ptakkit.families
 from ptakkit.families import (
     FamilySpec,
     HereditaryFamily,
-    all_members,
     cardinality_bound_family,
     cycle_edges,
     family_from_json_dict,
@@ -26,6 +25,7 @@ from ptakkit.families import (
     set_mask,
     trace,
 )
+from ptakkit.search import max_member
 
 
 def brute_member_masks(fam):
@@ -383,8 +383,6 @@ def test_enumerators_refuse_oversized_inputs():
     with pytest.raises(ValueError, match="118264581564861424"):
         cardinality_bound_family(60, 30)  # C(60, 30) maximal sets
     big = HereditaryFamily(n=24, maximal=(tuple(range(24)),))
-    with pytest.raises(ValueError, match=str(1 << 24)):
-        all_members(big)
     with pytest.raises(ValueError, match=str(1 << 23)):
         maximal_up_set(big, {0})
     assert len(cardinality_bound_family(15, 7).maximal) == 6435
@@ -528,19 +526,10 @@ def test_longest_chain_equals_max_member_size():
                 if (a >> s) & 1 and (a & ~(1 << s)) in longest:
                     best = max(best, longest[a & ~(1 << s)])
             longest[a] = best + 1
-        assert max(longest.values()) == fam.max_size + 1  # counts the empty set
+        assert max(longest.values()) == max_member(fam).size + 1  # counts the empty set
 
 
-# --- all_members / serialization ---------------------------------------------------
-
-def test_all_members_matches_bruteforce():
-    fam = hereditary_closure([{0, 1}, {2}], 3)
-    expected = sorted(
-        tuple(s for s in range(3) if (a >> s) & 1)
-        for a in brute_member_masks(fam)
-    )
-    assert all_members(fam) == expected
-
+# --- serialization ---------------------------------------------------------------
 
 def test_json_round_trip():
     fam = hereditary_closure([{2, 0}, {1}], 3)

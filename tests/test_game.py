@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ptakkit.game
@@ -21,7 +22,6 @@ from ptakkit.game import (
     FractionalCover,
     GameValueResult,
     _PackedWeights,
-    best_response,
     delta_exact,
     evaluate_mean,
     fictitious_play,
@@ -41,7 +41,7 @@ def c5():
 
 @pytest.mark.parametrize("cls", [ConvexMean, FractionalCover])
 def test_construction_coerces_keys_and_weights_and_drops_zeros(cls):
-    w = cls({"0": "1/2", 1: 1, 2: F(0), "3": "0/7", -1: F(-1, 3)})
+    w = cls({np.int64(0): "1/2", 1: 1, 2: F(0), 3: "0/7", -1: F(-1, 3)})
     assert w.weights == {0: F(1, 2), 1: F(1), -1: F(-1, 3)}
     assert all(type(k) is int and type(v) is F for k, v in w.weights.items())
     if cls is ConvexMean:
@@ -50,6 +50,17 @@ def test_construction_coerces_keys_and_weights_and_drops_zeros(cls):
     for bad in (0.5, True):
         with pytest.raises(TypeError):
             cls({0: bad})
+
+
+@pytest.mark.parametrize("cls", [ConvexMean, FractionalCover])
+def test_construction_refuses_keys_that_are_not_integers(cls):
+    # int() would truncate float keys: {0.9, 1.2} would read as labels {0, 1}
+    # and verify on C(2, 1), and {0.2, 0.7} would collapse to the label 0
+    for keys in ((0.9, 1.2), (0.2, 0.7), ("0", "1"), (0, 1.0)):
+        with pytest.raises(TypeError):
+            cls({k: F(1, 2) for k in keys})
+    w = cls({0: F(1, 2), 1: F(1, 2)})
+    assert cls.from_json_dict(json.loads(json.dumps(w.to_json_dict()))) == w
 
 
 # --- evaluate_mean ----------------------------------------------------------------
@@ -413,10 +424,6 @@ def test_weight_kernels_match_fraction_reference(corpus, corpus_values):
         hereditary_closure([{0, 1}], 3), hereditary_closure([], 3))]
     reasons = set()
     for fam, res in families:
-        ties = {s: F(rng.randint(0, 2), rng.randint(1, 3)) for s in range(fam.n)}
-        totals = [sum((ties[s] for s in fset), F(0)) for fset in fam.maximal]
-        first_best = fam.maximal[totals.index(max(totals))] if totals else ()
-        assert best_response(fam, ties) == first_best
         for cert in tampered_certificates(fam, res, rng):
             expected = fraction_verify_reason(fam, cert)
             assert verify_certificate(fam, cert).reason == expected
@@ -445,43 +452,6 @@ def test_verify_empty_family_certificate():
     rr = delta_exact(other)
     assert verify_certificate(
         other, GameValueResult(rr.delta, rr.primal, FractionalCover({}))).reason == "dual-sum"
-
-
-# --- best_response ----------------------------------------------------------------
-
-def test_best_response_point_mass_tie_lexicographic():
-    assert best_response(c5(), ConvexMean.point_mass(0)) == (0, 1)
-
-
-def test_best_response_full_powerset():
-    fam = cardinality_bound_family(3, 3)
-    assert best_response(fam, ConvexMean.uniform(range(3))) == (0, 1, 2)
-
-
-def test_best_response_weighted():
-    fam = hereditary_closure([{0}, {1}], 2)
-    assert best_response(fam, ConvexMean({0: F(3, 4), 1: F(1, 4)})) == (0,)
-
-
-def test_best_response_scale_free():
-    fam = c5()
-    rng = random.Random(1)
-    for _ in range(20):
-        w = {s: F(rng.randint(0, 9), rng.randint(1, 5)) for s in range(5)}
-        picked = best_response(fam, w)
-        for scale in (F(2), F(1, 7), F(13, 3)):
-            assert best_response(fam, {s: v * scale for s, v in w.items()}) == picked
-
-
-def test_best_response_empty_family():
-    assert best_response(hereditary_closure([], 2), ConvexMean.point_mass(0)) == ()
-
-
-@pytest.mark.parametrize("weights", [{-1: F(1)}, {5: F(1)}, {0: F(2), 1: F(-1)}])
-def test_best_response_rejects_labels_outside_ground_set_and_negative_weights(weights):
-    for fam in (c5(), hereditary_closure([], 5)):
-        with pytest.raises(ValueError):
-            best_response(fam, weights)
 
 
 # --- strong duality on the corpus ------------------------------------------------

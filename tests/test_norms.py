@@ -15,7 +15,6 @@ from ptakkit.families import (
 from ptakkit.game import delta_exact
 from ptakkit.norms import (
     FamilyVector,
-    basis_vector_norms,
     check_equivalence,
     f_norm,
     l1_norm,
@@ -237,32 +236,6 @@ def test_signed_probe_scale_guards():
         min_ratio_signed_bruteforce(cardinality_bound_family(2, 1), 0)
     with pytest.raises(ValueError):
         min_ratio_signed_bruteforce(cardinality_bound_family(12, 2), 4)  # 9**12 points
-
-
-# --- basis_vector_norms ---------------------------------------------------------------
-
-def test_basis_norms_c5_all_covered():
-    fam = maximal_cliques(5, cycle_edges(5))
-    assert basis_vector_norms(fam) == {s: F(1) for s in range(5)}
-
-
-def test_basis_norms_uncovered_label():
-    fam = hereditary_closure([{0, 1}], 3)
-    assert basis_vector_norms(fam) == {0: F(1), 1: F(1), 2: F(0)}
-
-
-def test_basis_norms_empty_family():
-    fam = hereditary_closure([], 2)
-    assert basis_vector_norms(fam) == {0: F(0), 1: F(0)}
-
-
-def test_basis_norms_match_fnorm_of_unit_vectors():
-    for seed in range(10):
-        fam = random_family(seed, n=6, max_sets=8)
-        norms = basis_vector_norms(fam)
-        for s in range(6):
-            unit = [F(1) if t == s else F(0) for t in range(6)]
-            assert f_norm(fam, unit) == norms[s]
 
 
 # --- FamilyVector serialization ---------------------------------------------------------

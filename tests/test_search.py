@@ -20,11 +20,10 @@ from ptakkit.families import (
     membership,
     trace,
 )
-from ptakkit.game import ConvexMean, best_response
+from ptakkit.game import ConvexMean, evaluate_mean
 from ptakkit.intervals import random_system, trace_family
 from ptakkit.search import (
     BoundReport,
-    SearchResult,
     greedy_member,
     max_member,
     ptak_bound_check,
@@ -85,27 +84,6 @@ def test_max_member_soundness_and_exactness(corpus):
         assert res.best == brute_max_member(fam) and res.size == len(res.best)
 
 
-def test_max_member_budget_flag():
-    fam = maximal_cliques(5, cycle_edges(5))
-    res = max_member(fam, budget=1)
-    assert not res.optimal
-    assert res.nodes_explored == 1
-    full = max_member(fam, budget=10**6)
-    assert full.optimal and full.size == 2
-    # best-effort result is always a member and never overshoots
-    assert membership(fam, res.best)
-    assert res.size <= full.size
-
-
-def test_max_member_negative_budget_raises_and_zero_is_valid():
-    fam = maximal_cliques(5, cycle_edges(5))
-    for budget in (-1, -5):
-        with pytest.raises(ValueError, match="budget"):
-            max_member(fam, budget=budget)
-    res = max_member(fam, budget=0)
-    assert res == SearchResult(best=(), size=0, nodes_explored=0, optimal=False)
-
-
 def test_max_member_answers_pinned(corpus):
     # (best, size, optimal) of the full search: one sha256 over the corpus,
     # and the three wide families at seed 0
@@ -119,37 +97,25 @@ def test_max_member_answers_pinned(corpus):
 
 
 def test_max_member_pinned_on_corpus(corpus):
-    # sha256 of (seed, budget, best, size, nodes_explored, optimal) for every
-    # family and budget, as the scan of the antichain reports them
+    # sha256 of (seed, best, size, nodes_explored, optimal) for every family;
+    # the scan examines every maximal set
     rows = []
     for seed, fam in enumerate(corpus):
-        for budget in (None, 1, 3, 10):
-            r = max_member(fam, budget)
-            rows.append([seed, budget, list(r.best), r.size, r.nodes_explored, r.optimal])
+        r = max_member(fam)
+        assert r.nodes_explored == len(fam.maximal) and r.optimal is True
+        rows.append([seed, list(r.best), r.size, r.nodes_explored, r.optimal])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "14f7f7d9dad55c8e53c82d26910747a4225aff961627ba08d8da30605509d838")
+        "3ef8a2c1d0de3a8f18c090cab0a1b0072eb443ad426d9096d8ed8c132a2c97fd")
 
 
 def test_max_member_pinned_on_wide_families():
-    # a scan capped at `budget` examines min(budget, m) sets and returns the
-    # longest of them
-    def without(*labels):
-        return tuple(sorted(set(range(80)) - set(labels)))
-
-    seven, evens = tuple(range(7)), tuple(range(0, 30, 2))
-    longest = without(3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76)
-    first = without(3, 4, 5, 11, 12, 17, 20, 23, 24, 29, 60, 70, 71, 74, 76, 78)
-    pins = [
-        [(seven, 7, 3432, True), (seven, 7, 1, False), (seven, 7, 3, False),
-         (seven, 7, 10, False)],
-        [(evens, 15, 4610, True), (evens, 15, 1, False), (evens, 15, 3, False),
-         (evens, 15, 10, False)],
-        [(longest, 69, 8, True), (first, 64, 1, False), (longest, 69, 3, False),
-         (longest, 69, 8, True)],
-    ]
+    longest = tuple(sorted(set(range(80)) - {3, 4, 5, 10, 11, 17, 20, 32, 56, 70, 76}))
+    pins = [(tuple(range(7)), 7, 3432, True), (tuple(range(0, 30, 2)), 15, 4610, True),
+            (longest, 69, 8, True)]
     for fam, expected in zip(wide_families(0), pins):
-        results = [max_member(fam, budget) for budget in (None, 1, 3, 10)]
-        assert [(r.best, r.size, r.nodes_explored, r.optimal) for r in results] == expected
+        r = max_member(fam)
+        assert r.nodes_explored == len(fam.maximal) and r.optimal is True
+        assert (r.best, r.size, r.nodes_explored, r.optimal) == expected
 
 
 # --- greedy_member ----------------------------------------------------------------
@@ -234,11 +200,11 @@ def test_bound_holds_on_corpus_sample(corpus):
 
 
 def test_uniform_mean_witnesses_bound(corpus, corpus_values):
-    # the best response to the uniform mean is itself a member of size >= bound
+    # under the uniform mean a set weighs |F|/n, so the heaviest member is a
+    # maximum member, and its weight is at least delta
     for fam, res in list(zip(corpus, corpus_values))[:40]:
-        witness = best_response(fam, ConvexMean.uniform(range(fam.n)))
-        assert membership(fam, witness)
-        assert len(witness) >= math.ceil(res.delta * fam.n)
+        heaviest = evaluate_mean(fam, ConvexMean.uniform(range(fam.n))) * fam.n
+        assert heaviest == max_member(fam).size >= math.ceil(res.delta * fam.n)
 
 
 def test_max_member_monotone_under_trace(corpus):
