@@ -20,7 +20,10 @@ from ptakkit.rationals import format_rational
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:  # argparse's own usage errors, as the shell sees them
+        rc = exc.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -277,6 +280,9 @@ def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
     ("oracle", "--max-iters", "0"),
     ("oracle", "--max-iters", "-3"),
     ("oracle", "--max-iters", "1000000001"),
+    # search has no budget: argparse rejects the flag itself
+    ("search", "--budget", "-1"),
+    ("search", "--budget", "-5"),
 ])
 def test_bad_flag_exit_2_names_flag(family_file, capsys, command, flag, value):
     rc, out, err = run(capsys, command, "--family", str(family_file), f"{flag}={value}")
