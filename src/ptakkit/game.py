@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
+from math import gcd
 from operator import index
 from sys import byteorder
 from typing import Mapping, Optional
@@ -215,11 +216,14 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     current optimal mean until none is violated.  The dual weights are scaled
     to sum to 1, so min-coverage equals the value exactly.
 
-    Each round prices every maximal set at once (:class:`_PackedWeights`): the
-    mean, as nonnegative integers ``nums``, is summed into one ``W``-bit field
-    per set of a single packed integer.  The fields are exact, not rounded: a
-    set's weight is at most ``sum(nums)``, and ``W`` widens until that total
-    is below ``2**W``, so no field ever carries into the next.
+    Each round reads the mean straight off the LP's integers, ``x_num`` over
+    the basis determinant, and prices every maximal set at once
+    (:class:`_PackedWeights`): the mean, as nonnegative integers ``nums``, is
+    summed into one ``W``-bit field per set of a single packed integer.  The
+    fields are exact, not rounded: a set's weight is at most ``sum(nums)``,
+    and ``W`` widens until that total is below ``2**W``, so no field ever
+    carries into the next.  Fractions are made once, for the certificate of
+    the last round.
     """
     n = fam.n
     m = len(fam.maximal)
@@ -249,16 +253,19 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         A.append(row)
         res = solve_max_slack(ones_n, A, [1] * len(active))
         pivots += res.pivots
-        # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1
-        nums, den = scaled_ints(res.x)
+        # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1.  Taking
+        # x = x_num / den to lowest common terms keeps the pricing fields narrow
+        g = gcd(res.den, *res.x_num)
+        nums, den = [v // g for v in res.x_num], res.den // g
         total = sum(nums)
 
         # the heaviest inactive set, lowest index on ties, is violated when it
         # weighs more than delta * total
         worst, idx = pricing.heaviest(nums, active)
         if worst <= den - total:
-            zstar = res.objective  # equals 1/(delta+1), in [1/2, 1]
-            mu = {active[r]: res.duals[r] / zstar for r in range(len(active))}
+            # mu = duals / objective, where objective = 1/(delta+1) > 0; the
+            # duals and the objective share the denominator obj_den
+            mu = {i: Fraction(y, res.obj_num) for i, y in zip(active, res.dual_num)}
             primal = ConvexMean({s: Fraction(v, total) for s, v in enumerate(nums) if v})
             dual = FractionalCover(mu)
             return GameValueResult(delta=Fraction(den - total, total), primal=primal,

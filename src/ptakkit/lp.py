@@ -33,36 +33,75 @@ basic) times the row's factor.
 Bland's rule (the smallest label among negative reduced costs enters, the
 smallest basic label among ratio ties leaves) reads the signs of the cost
 row and compares ratios by cross-multiplying, so it makes exactly the pivots
-a rational tableau would and guarantees termination.  Values become
-Fractions once, at the end.
+a rational tableau would and guarantees termination.  The result keeps
+the final tableau's integers: x over ``D``, the objective and the duals over
+the cost row's scale.  It makes Fractions of them only when they are read.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import ZERO, as_fraction, scaled_ints
+from .rationals import as_fraction, scaled_ints
 
 
 class UnboundedError(ArithmeticError):
     """The linear program has unbounded objective."""
 
 
-@dataclass
 class LPResult:
-    objective: Fraction
-    x: list[Fraction]
-    duals: list[Fraction]
-    pivots: int
+    """An optimal vertex, held as the final tableau's integers.
+
+    ``x[j] = x_num[j] / den``, where ``den`` is the basis determinant
+    (always > 0).  The objective is ``obj_num / obj_den`` and row i's dual
+    is ``dual_num[i] / obj_den``: both are read off the cost row, which
+    carries the scale ``obj_den``.  The dual numerators are worked out when
+    first read, and are empty for :func:`solve_min_general`.  ``objective``,
+    ``x`` and ``duals`` are the same values as reduced Fractions.
+    """
+
+    __slots__ = ("x_num", "den", "obj_num", "obj_den", "pivots", "_tableau", "_dual_num")
+
+    def __init__(self, x_num: list[int], den: int, obj_num: int, obj_den: int, pivots: int):
+        self.x_num, self.den = x_num, den
+        self.obj_num, self.obj_den = obj_num, obj_den
+        self.pivots = pivots
+        self._tableau = None  # (nonbasic labels, cost row, row scales) until duals are read
+        self._dual_num: list[int] = []
+
+    @property
+    def dual_num(self) -> list[int]:
+        if self._tableau is not None:
+            nonbasic, z, scales = self._tableau
+            n, dual = len(self.x_num), [0] * len(scales)
+            # row i's slack has label n + i; its dual is its reduced cost
+            # times the row's scale while nonbasic, and 0 while basic
+            for label, cost in zip(nonbasic, z):
+                if label >= n:
+                    dual[label - n] = scales[label - n] * cost
+            self._dual_num, self._tableau = dual, None
+        return self._dual_num
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(self.obj_num, self.obj_den)
+
+    @property
+    def x(self) -> list[Fraction]:
+        return [Fraction(v, self.den) for v in self.x_num]
+
+    @property
+    def duals(self) -> list[Fraction]:
+        return [Fraction(v, self.obj_den) for v in self.dual_num]
 
 
 def _integer_row(values) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    """``values`` times the lcm of their denominators, as ints, and that lcm.
+    Values that are all ints are returned as given, not copied."""
     if {int}.issuperset(map(type, values)):
-        return list(values), 1
+        return values, 1
     return scaled_ints([as_fraction(v) for v in values])
 
 
@@ -127,9 +166,8 @@ def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
 def _simplex(c, A, b):
     """The one simplex: minimize ``c.x`` over ``Ax <= b, x >= 0``, ``b >= 0``.
 
-    Returns the result (duals left empty), the final reduced costs keyed by
-    nonbasic label (a basic variable's is 0), their scale (the reduced costs
-    are these over it) and each row's scale.
+    Returns the result, without duals, and the final nonbasic labels, cost
+    row and row scales, from which :class:`LPResult` reads the duals.
     """
     n = len(c)
     if len(b) != len(A):
@@ -148,12 +186,11 @@ def _simplex(c, A, b):
     cost, cscale = _integer_row(c)
     z = [*cost, 0]  # cscale * c, priced out over the all-slack basis
     pivots, d = _bland_min(rows, z, basis, nonbasic)
-    x = [ZERO] * n
+    x_num = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(rows[i][-1], d)
-    res = LPResult(objective=Fraction(-z[-1], d * cscale), x=x, duals=[], pivots=pivots)
-    return res, dict(zip(nonbasic, z)), d * cscale, scales
+            x_num[bi] = rows[i][-1]
+    return LPResult(x_num, d, -z[-1], d * cscale, pivots), (nonbasic, z, scales)
 
 
 def solve_max_slack(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
@@ -163,12 +200,9 @@ def solve_max_slack(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
     ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
     ``duals . b == objective`` by strong duality).
     """
-    n = len(c)
-    res, reduced, zscale, scales = _simplex([-v for v in c], A, b)
-    res.objective = -res.objective
-    # row i's slack has label n + i; its dual is its reduced cost while nonbasic
-    res.duals = [Fraction(scale * reduced[n + i], zscale) if n + i in reduced else ZERO
-                 for i, scale in enumerate(scales)]
+    res, tableau = _simplex([-v for v in c], A, b)
+    res.obj_num = -res.obj_num
+    res._tableau = tableau
     return res
 
 
@@ -177,6 +211,6 @@ def solve_min_general(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
     """Minimize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
 
     The same tableau as :func:`solve_max_slack` on the negated costs; the
-    duals slot of the result is left empty.
+    duals of the result are left empty.
     """
     return _simplex(c, A, b)[0]

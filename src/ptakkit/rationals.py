@@ -1,10 +1,11 @@
 """Exact rational plumbing: parsing, formatting and coercion helpers.
 
 Exact values in the package are :class:`fractions.Fraction`s; the hot loops
-(simplex tableau, pricing, norms) put them over one common denominator with
-:func:`scaled_ints` and work in integers.  Serialized form is the reduced
-string ``"p/q"`` (denominator always written, so ``Fraction(1)`` round-trips
-as ``"1/1"``).
+(the simplex tableau's Fraction rows, norms, certificate checks) put them
+over one common denominator with :func:`scaled_ints` and work in integers.
+Row generation needs no conversion: the simplex hands it integers.
+Serialized form is the reduced string ``"p/q"`` (denominator always
+written, so ``Fraction(1)`` round-trips as ``"1/1"``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import ptakkit.game
 import ptakkit.norms
+from ptakkit.game import delta_exact, verify_certificate
 from ptakkit.lp import UnboundedError, solve_max_slack, solve_min_general
 from ptakkit.norms import min_ratio_nonneg
 
@@ -124,6 +126,33 @@ def test_max_slack_duals_after_a_slack_reenters():
     assert reentered > 0
 
 
+def test_integers_agree_with_the_fractions():
+    """The result holds the tableau's integers: x over the basis determinant,
+    the objective and the duals over the cost row's scale.  Over the random
+    programs, slack re-entries included, they give the reference's values,
+    and the properties give them as Fractions."""
+    reentered = 0
+    for seed in (7, 8):
+        for c, A, b in random_slack_lps(seed, 400):
+            entered = []
+            want = outcome(ref_max_slack, c, A, b, entered)
+            if isinstance(want, type):
+                continue
+            reentered += any(j >= len(c) for j in entered)
+            objective, x, duals, _ = want
+            got = solve_max_slack(c, A, b)
+            low = solve_min_general([-v for v in c], A, b)
+            for res, sign in ((got, 1), (low, -1)):
+                assert res.den > 0 and res.obj_den > 0
+                assert [F(v, res.den) for v in res.x_num] == res.x == x
+                assert F(res.obj_num, res.obj_den) == res.objective == sign * objective
+                assert all(type(v) is int for v in [res.obj_num, *res.x_num, *res.dual_num])
+                assert all(type(v) is F for v in [res.objective, *res.x, *res.duals])
+            assert [F(v, got.obj_den) for v in got.dual_num] == duals == got.duals
+            assert low.dual_num == low.duals == []
+    assert reentered > 0
+
+
 def test_unbounded_and_infeasible():
     with pytest.raises(UnboundedError):
         solve_max_slack([F(1)], [[F(-1)]], [F(1)])
@@ -164,3 +193,17 @@ def test_corpus_pivot_totals(corpus, corpus_values, monkeypatch):
         min_ratio_nonneg(fam)
     # 53 families leave a label uncovered and need no LP
     assert len(pivots) == 447 and sum(pivots) == 2164
+
+
+def test_row_generation_takes_the_integers_from_the_simplex(corpus, monkeypatch):
+    """delta_exact prices each round on the LP's integers and makes no
+    round trip through Fractions with ``scaled_ints``."""
+    def refuse(values):
+        raise AssertionError("scaled_ints called in delta_exact")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ptakkit.game, "scaled_ints", refuse)
+        results = [delta_exact(fam) for fam in corpus]
+    # verify_certificate sums weights with scaled_ints, so it runs unpatched
+    assert all(verify_certificate(fam, res) for fam, res in zip(corpus, results))
+    assert sum(res.pivots for res in results) == 8743
