@@ -47,12 +47,10 @@ from .intervals import (
 from .norms import (
     EquivalenceReport,
     FamilyVector,
-    MinRatioProbe,
     check_equivalence,
     f_norm,
     l1_norm,
     min_ratio_nonneg,
-    min_ratio_signed_bruteforce,
 )
 from .search import (
     BoundReport,

@@ -59,20 +59,6 @@ class ConvexMean(_Weighting):
     """Weighting of ground-set labels; a probability weighting in a valid
     certificate."""
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.weights)
-
-    @classmethod
-    def uniform(cls, labels) -> "ConvexMean":
-        labels = list(labels)
-        w = Fraction(1, len(labels))
-        return cls({s: w for s in labels})
-
-    @classmethod
-    def point_mass(cls, label: int) -> "ConvexMean":
-        return cls({label: ONE})
-
 
 class FractionalCover(_Weighting):
     """Weighting of the maximal sets, keyed by antichain index; a probability
@@ -230,7 +216,7 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     if m == 0:
         return GameValueResult(
             delta=ZERO,
-            primal=ConvexMean.point_mass(0),
+            primal=ConvexMean({0: ONE}),
             dual=FractionalCover({}),
             pivots=0,
         )
@@ -264,7 +250,7 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         worst, idx = pricing.heaviest(nums, active)
         if worst <= den - total:
             # mu = duals / objective, where objective = 1/(delta+1) > 0; the
-            # duals and the objective share the denominator obj_den
+            # duals and the objective share the denominator den
             mu = {i: Fraction(y, res.obj_num) for i, y in zip(active, res.dual_num)}
             primal = ConvexMean({s: Fraction(v, total) for s, v in enumerate(nums) if v})
             dual = FractionalCover(mu)

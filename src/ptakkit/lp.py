@@ -21,21 +21,17 @@ becomes the leaving variable's: it holds ``-T[i][c]`` in the other rows and
 the cost row and the old ``D`` in the pivot row, which is what the pivot
 makes of its unit column.  So a pivot updates ``r * (n + 1)`` entries, where
 the full tableau has ``r`` more columns.  No gcd is taken during a solve, and
-entries stay minors of the input, so they grow only as far as those do.  The
-cost row carries a further fixed positive factor that makes the costs
-integers.
+entries stay minors of the input, so they grow only as far as those do.
 
-Inputs may be ints or Fractions: each row is multiplied by the lcm of its
-denominators while its slack column stays unit.  That rescales the row's
-slack, so a row's dual is its slack's reduced cost (0 while the slack is
-basic) times the row's factor.
+The program must be given in Python ints: ``//`` would floor a Fraction
+without a word, so any other entry raises TypeError.
 
 Bland's rule (the smallest label among negative reduced costs enters, the
 smallest basic label among ratio ties leaves) reads the signs of the cost
 row and compares ratios by cross-multiplying, so it makes exactly the pivots
 a rational tableau would and guarantees termination.  The result keeps
-the final tableau's integers: x over ``D``, the objective and the duals over
-the cost row's scale.  It makes Fractions of them only when they are read.
+the final tableau's integers, x, the objective and the duals, all over
+``D``.  It makes Fractions of them only when they are read.
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from typing import Sequence
-
-from .rationals import as_fraction, scaled_ints
 
 
 class UnboundedError(ArithmeticError):
@@ -54,39 +48,37 @@ class UnboundedError(ArithmeticError):
 class LPResult:
     """An optimal vertex, held as the final tableau's integers.
 
-    ``x[j] = x_num[j] / den``, where ``den`` is the basis determinant
-    (always > 0).  The objective is ``obj_num / obj_den`` and row i's dual
-    is ``dual_num[i] / obj_den``: both are read off the cost row, which
-    carries the scale ``obj_den``.  The dual numerators are worked out when
-    first read, and are empty for :func:`solve_min_general`.  ``objective``,
-    ``x`` and ``duals`` are the same values as reduced Fractions.
+    ``x[j] = x_num[j] / den``, the objective is ``obj_num / den`` and row
+    i's dual is ``dual_num[i] / den``, where ``den`` is the basis
+    determinant (always > 0).  The dual numerators are worked out when first
+    read, and are empty for :func:`solve_min_general`.  ``objective``, ``x``
+    and ``duals`` are the same values as reduced Fractions.
     """
 
-    __slots__ = ("x_num", "den", "obj_num", "obj_den", "pivots", "_tableau", "_dual_num")
+    __slots__ = ("x_num", "den", "obj_num", "pivots", "_tableau", "_dual_num")
 
-    def __init__(self, x_num: list[int], den: int, obj_num: int, obj_den: int, pivots: int):
-        self.x_num, self.den = x_num, den
-        self.obj_num, self.obj_den = obj_num, obj_den
+    def __init__(self, x_num: list[int], den: int, obj_num: int, pivots: int):
+        self.x_num, self.den, self.obj_num = x_num, den, obj_num
         self.pivots = pivots
-        self._tableau = None  # (nonbasic labels, cost row, row scales) until duals are read
+        self._tableau = None  # (nonbasic labels, cost row, row count) until duals are read
         self._dual_num: list[int] = []
 
     @property
     def dual_num(self) -> list[int]:
         if self._tableau is not None:
-            nonbasic, z, scales = self._tableau
-            n, dual = len(self.x_num), [0] * len(scales)
+            nonbasic, z, m = self._tableau
+            n, dual = len(self.x_num), [0] * m
             # row i's slack has label n + i; its dual is its reduced cost
-            # times the row's scale while nonbasic, and 0 while basic
+            # while nonbasic, and 0 while basic
             for label, cost in zip(nonbasic, z):
                 if label >= n:
-                    dual[label - n] = scales[label - n] * cost
+                    dual[label - n] = cost
             self._dual_num, self._tableau = dual, None
         return self._dual_num
 
     @property
     def objective(self) -> Fraction:
-        return Fraction(self.obj_num, self.obj_den)
+        return Fraction(self.obj_num, self.den)
 
     @property
     def x(self) -> list[Fraction]:
@@ -94,15 +86,7 @@ class LPResult:
 
     @property
     def duals(self) -> list[Fraction]:
-        return [Fraction(v, self.obj_den) for v in self.dual_num]
-
-
-def _integer_row(values) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and that lcm.
-    Values that are all ints are returned as given, not copied."""
-    if {int}.issuperset(map(type, values)):
-        return values, 1
-    return scaled_ints([as_fraction(v) for v in values])
+        return [Fraction(v, self.den) for v in self.dual_num]
 
 
 def _eliminate(row, prow, p, d, pc):
@@ -163,54 +147,59 @@ def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
         insort(order, pc, key=label_of)
 
 
-def _simplex(c, A, b):
-    """The one simplex: minimize ``c.x`` over ``Ax <= b, x >= 0``, ``b >= 0``.
+def _simplex(c, A, b, maximize):
+    """The one simplex over ``Ax <= b, x >= 0``, ``b >= 0``: minimize ``c.x``,
+    or, if ``maximize``, minimize ``-c.x``.
 
     Returns the result, without duals, and the final nonbasic labels, cost
-    row and row scales, from which :class:`LPResult` reads the duals.
+    row and row count, from which :class:`LPResult` reads the duals.
     """
     n = len(c)
     if len(b) != len(A):
         raise ValueError(f"b has {len(b)} entries for {len(A)} rows of A")
-    rows, scales = [], []
+    rows = []
     for i, (coeffs, rhs) in enumerate(zip(A, b)):
         if len(coeffs) != n:
             raise ValueError(f"row {i} of A has {len(coeffs)} entries, expected {n}")
-        row, scale = _integer_row([*coeffs, rhs])
-        if row[-1] < 0:
+        row = [*coeffs, rhs]
+        if not {int}.issuperset(map(type, row)):
+            raise TypeError(f"row {i} of A and b: entries must be ints")
+        if rhs < 0:
             raise ValueError(f"row {i}: slack start needs b >= 0")
         rows.append(row)
-        scales.append(scale)
+    # checked before negating, which would make a bool an int
+    if not {int}.issuperset(map(type, c)):
+        raise TypeError("c: entries must be ints")
+    z = [*(-v for v in c), 0] if maximize else [*c, 0]  # priced out over the slack basis
     basis = list(range(n, n + len(rows)))
     nonbasic = list(range(n))
-    cost, cscale = _integer_row(c)
-    z = [*cost, 0]  # cscale * c, priced out over the all-slack basis
     pivots, d = _bland_min(rows, z, basis, nonbasic)
     x_num = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x_num[bi] = rows[i][-1]
-    return LPResult(x_num, d, -z[-1], d * cscale, pivots), (nonbasic, z, scales)
+    # the cost row's last entry is -D times the minimum
+    obj_num = z[-1] if maximize else -z[-1]
+    return LPResult(x_num, d, obj_num, pivots), (nonbasic, z, len(rows))
 
 
-def solve_max_slack(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
-                    b: Sequence[Fraction]) -> LPResult:
+def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]],
+                    b: Sequence[int]) -> LPResult:
     """Maximize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
 
     ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
     ``duals . b == objective`` by strong duality).
     """
-    res, tableau = _simplex([-v for v in c], A, b)
-    res.obj_num = -res.obj_num
+    res, tableau = _simplex(c, A, b, True)
     res._tableau = tableau
     return res
 
 
-def solve_min_general(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
-                      b: Sequence[Fraction]) -> LPResult:
+def solve_min_general(c: Sequence[int], A: Sequence[Sequence[int]],
+                      b: Sequence[int]) -> LPResult:
     """Minimize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
 
     The same tableau as :func:`solve_max_slack` on the negated costs; the
     duals of the result are left empty.
     """
-    return _simplex(c, A, b)[0]
+    return _simplex(c, A, b, False)[0]

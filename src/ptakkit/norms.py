@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 from operator import or_
 from typing import Optional
 
@@ -137,40 +136,3 @@ def min_ratio_nonneg(fam: HereditaryFamily) -> Fraction:
             row[s] = 1
         A.append(row)
     return -1 / solve_min_general([-1] * n, A, [1] * len(A)).objective
-
-
-@dataclass(frozen=True)
-class MinRatioProbe:
-    ratio: Fraction
-    witness: tuple[Fraction, ...]
-
-
-def min_ratio_signed_bruteforce(fam: HereditaryFamily, grid: int) -> MinRatioProbe:
-    """Grid probe of min fnorm(x)/l1(x) over all sign patterns.
-
-    Enumerates every vector with coordinates in {-1, ..., -1/g, 0, 1/g, ..., 1}
-    exhaustively (integer arithmetic; the ratio is scale-free).  This is a
-    certified-at-grid estimate only, never claimed as the true signed
-    equivalence constant.
-    """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    if fam.n > 12:
-        raise ValueError("scale exceeded: brute force limited to n <= 12")
-    total = (2 * grid + 1) ** fam.n
-    if total > 4_000_000:
-        raise ValueError(f"scale exceeded: {total} grid points")
-    best: Optional[Fraction] = None
-    best_vec: tuple[int, ...] = ()
-    for vec in product(range(-grid, grid + 1), repeat=fam.n):
-        l1 = sum(abs(v) for v in vec)
-        if l1 == 0:
-            continue
-        ratio = Fraction(_fnorm_scaled(fam.maximal, vec), l1)
-        if best is None or ratio < best:
-            best = ratio
-            best_vec = vec
-    if best is None:
-        raise ValueError("grid produced no nonzero vector")
-    witness = tuple(Fraction(v, grid) for v in best_vec)
-    return MinRatioProbe(ratio=best, witness=witness)

@@ -1,9 +1,10 @@
 """Exact rational plumbing: parsing, formatting and coercion helpers.
 
 Exact values in the package are :class:`fractions.Fraction`s; the hot loops
-(the simplex tableau's Fraction rows, norms, certificate checks) put them
-over one common denominator with :func:`scaled_ints` and work in integers.
-Row generation needs no conversion: the simplex hands it integers.
+(norms, certificate checks) put them over one common denominator with
+:func:`scaled_ints` and work in integers.  The simplex takes its programs in
+integers and hands them back over one denominator, so row generation needs
+no conversion.
 Serialized form is the reduced string ``"p/q"`` (denominator always
 written, so ``Fraction(1)`` round-trips as ``"1/1"``).
 """

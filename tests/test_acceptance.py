@@ -101,15 +101,18 @@ def test_criterion_3_ptak_bound(corpus, corpus_values):
 @criterion(4, "norm sandwich on 1000 rational vectors per family, min-ratio identity")
 def test_criterion_4_norm_sandwich(corpus, corpus_values):
     rng = random.Random(20260808)
+    # F(a, b) looked up, not built: the draws are the same randint calls in
+    # the same order, so the vectors are too
+    frac = {(a, b): F(a, b) for a in range(-9, 10) for b in range(1, 8)}
     for fam, res in zip(corpus, corpus_values):
         delta = res.delta
         for t in range(1000):
             if t % 2:
-                coords = tuple(F(rng.randint(0, 9), rng.randint(1, 7))
+                coords = tuple(frac[rng.randint(0, 9), rng.randint(1, 7)]
                                for _ in range(fam.n))
                 nonneg = True
             else:
-                coords = tuple(F(rng.randint(-9, 9), rng.randint(1, 7))
+                coords = tuple(frac[rng.randint(-9, 9), rng.randint(1, 7)]
                                for _ in range(fam.n))
                 nonneg = all(c >= 0 for c in coords)
             fn = f_norm(fam, coords)

@@ -45,7 +45,7 @@ def test_construction_coerces_keys_and_weights_and_drops_zeros(cls):
     assert w.weights == {0: F(1, 2), 1: F(1), -1: F(-1, 3)}
     assert all(type(k) is int and type(v) is F for k, v in w.weights.items())
     if cls is ConvexMean:
-        assert w.support == frozenset({0, 1, -1})
+        assert frozenset(w.weights) == frozenset({0, 1, -1})
     assert cls({}).weights == {}
     for bad in (0.5, True):
         with pytest.raises(TypeError):
@@ -67,17 +67,17 @@ def test_construction_refuses_keys_that_are_not_integers(cls):
 
 def test_evaluate_mean_uniform_pairs():
     fam = cardinality_bound_family(3, 2)
-    assert evaluate_mean(fam, ConvexMean.uniform(range(3))) == F(2, 3)
+    assert evaluate_mean(fam, ConvexMean({s: F(1, 3) for s in range(3)})) == F(2, 3)
 
 
 def test_evaluate_mean_support_misses_family():
     fam = hereditary_closure([{0}], 2)
-    assert evaluate_mean(fam, ConvexMean.point_mass(1)) == 0
+    assert evaluate_mean(fam, ConvexMean({1: F(1)})) == 0
 
 
 def test_evaluate_mean_c5_uniform():
     fam = c5()
-    lam = ConvexMean.uniform(range(5))
+    lam = ConvexMean({s: F(1, 5) for s in range(5)})
     # every edge weighs exactly 2/5; check by summing each maximal set directly
     edge_values = {sum(lam.weights[s] for s in e) for e in fam.maximal}
     assert edge_values == {F(2, 5)}
@@ -85,14 +85,14 @@ def test_evaluate_mean_c5_uniform():
 
 
 def test_evaluate_mean_empty_family_is_zero():
-    assert evaluate_mean(hereditary_closure([], 3), ConvexMean.point_mass(0)) == 0
+    assert evaluate_mean(hereditary_closure([], 3), ConvexMean({0: F(1)})) == 0
 
 
 def test_evaluate_mean_outside_ground():
     with pytest.raises(ValueError):
-        evaluate_mean(cardinality_bound_family(2, 1), ConvexMean.point_mass(5))
+        evaluate_mean(cardinality_bound_family(2, 1), ConvexMean({5: F(1)}))
     with pytest.raises(ValueError):
-        evaluate_mean(cardinality_bound_family(2, 1), ConvexMean.point_mass(-1))
+        evaluate_mean(cardinality_bound_family(2, 1), ConvexMean({-1: F(1)}))
 
 
 # --- delta_exact -------------------------------------------------------------------
@@ -322,8 +322,8 @@ def test_verify_rejects_tampered_delta():
 def test_verify_uniform_primal_on_c5():
     fam = c5()
     res = delta_exact(fam)
-    swapped = GameValueResult(delta=F(2, 5), primal=ConvexMean.uniform(range(5)),
-                              dual=res.dual)
+    uniform = ConvexMean({s: F(1, 5) for s in range(5)})
+    swapped = GameValueResult(delta=F(2, 5), primal=uniform, dual=res.dual)
     assert verify_certificate(fam, swapped)
 
 

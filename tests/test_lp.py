@@ -5,9 +5,11 @@ import pytest
 
 import ptakkit.game
 import ptakkit.norms
+from ptakkit.families import random_family
 from ptakkit.game import delta_exact, verify_certificate
 from ptakkit.lp import UnboundedError, solve_max_slack, solve_min_general
 from ptakkit.norms import min_ratio_nonneg
+from ptakkit.rationals import scaled_ints
 
 F = Fraction
 
@@ -68,14 +70,18 @@ def rand_frac(rng, lo, hi):
 
 
 def random_slack_lps(seed, count):
-    """``count`` seeded programs ``(c, A, b)`` for ``solve_max_slack``."""
+    """``count`` seeded programs ``(c, A, b)`` for ``solve_max_slack``, drawn
+    in Fractions and posed in integers: each row, with its entry of ``b``,
+    and the costs are scaled by the lcm of their denominators.  A positive
+    scale moves no Bland pivot."""
     rng = random.Random(seed)
     for _ in range(count):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         c = [rand_frac(rng, -3, 5) for _ in range(n)]
         A = [[rand_frac(rng, -4, 4) for _ in range(n)] for _ in range(m)]
         b = [rand_frac(rng, 0, 6) for _ in range(m)]
-        yield c, A, b
+        rows = [scaled_ints([*row, bi])[0] for row, bi in zip(A, b)]
+        yield scaled_ints(c)[0], [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def test_max_slack_matches_rational_reference_and_duality():
@@ -127,10 +133,10 @@ def test_max_slack_duals_after_a_slack_reenters():
 
 
 def test_integers_agree_with_the_fractions():
-    """The result holds the tableau's integers: x over the basis determinant,
-    the objective and the duals over the cost row's scale.  Over the random
-    programs, slack re-entries included, they give the reference's values,
-    and the properties give them as Fractions."""
+    """The result holds the tableau's integers: x, the objective and the
+    duals over the one basis determinant.  Over the random programs, slack
+    re-entries included, they give the reference's values, and the
+    properties give them as Fractions."""
     reentered = 0
     for seed in (7, 8):
         for c, A, b in random_slack_lps(seed, 400):
@@ -143,26 +149,39 @@ def test_integers_agree_with_the_fractions():
             got = solve_max_slack(c, A, b)
             low = solve_min_general([-v for v in c], A, b)
             for res, sign in ((got, 1), (low, -1)):
-                assert res.den > 0 and res.obj_den > 0
+                assert res.den > 0
                 assert [F(v, res.den) for v in res.x_num] == res.x == x
-                assert F(res.obj_num, res.obj_den) == res.objective == sign * objective
+                assert F(res.obj_num, res.den) == res.objective == sign * objective
                 assert all(type(v) is int for v in [res.obj_num, *res.x_num, *res.dual_num])
                 assert all(type(v) is F for v in [res.objective, *res.x, *res.duals])
-            assert [F(v, got.obj_den) for v in got.dual_num] == duals == got.duals
+            assert [F(v, got.den) for v in got.dual_num] == duals == got.duals
             assert low.dual_num == low.duals == []
     assert reentered > 0
 
 
 def test_unbounded_and_infeasible():
     with pytest.raises(UnboundedError):
-        solve_max_slack([F(1)], [[F(-1)]], [F(1)])
+        solve_max_slack([1], [[-1]], [1])
     with pytest.raises(UnboundedError):
-        solve_min_general([F(-1), F(0)], [[F(0), F(1)]], [F(1)])
+        solve_min_general([-1, 0], [[0, 1]], [1])
     # the all-slack start is infeasible for a negative right-hand side
     with pytest.raises(ValueError):
-        solve_max_slack([F(1)], [[F(1)]], [F(-1)])
+        solve_max_slack([1], [[1]], [-1])
     with pytest.raises(ValueError, match="row 1"):
-        solve_min_general([F(1)], [[F(1)], [F(2)]], [F(1), F(-1, 2)])
+        solve_min_general([1], [[2], [4]], [2, -1])
+
+
+@pytest.mark.parametrize("solve", [solve_max_slack, solve_min_general])
+def test_entries_must_be_ints(solve):
+    """``//`` would floor a Fraction without a word, so a Fraction, float or
+    bool entry raises, naming its row, or ``c``, wherever it sits."""
+    for bad in (F(1, 2), F(3), 0.5, True):
+        with pytest.raises(TypeError, match="row 1"):
+            solve([1, 1], [[1, 0], [bad, 1]], [1, 1])
+        with pytest.raises(TypeError, match="row 0"):
+            solve([1, 1], [[1, 0], [0, 1]], [bad, 1])
+        with pytest.raises(TypeError, match="^c: "):
+            solve([1, bad], [[1, 0], [0, 1]], [1, 1])
 
 
 @pytest.mark.parametrize("solve", [solve_max_slack, solve_min_general])
@@ -193,6 +212,20 @@ def test_corpus_pivot_totals(corpus, corpus_values, monkeypatch):
         min_ratio_nonneg(fam)
     # 53 families leave a label uncovered and need no LP
     assert len(pivots) == 447 and sum(pivots) == 2164
+
+
+def test_large_lp_families():
+    """The benchmark's large_lp families, the largest LPs of any routine run:
+    the first 12 ``random_family(s, n=20, max_sets=200)`` with at least 60
+    maximal sets."""
+    fams = [fam for fam in (random_family(s, n=20, max_sets=200) for s in range(24))
+            if len(fam.maximal) >= 60]
+    results = [delta_exact(fam) for fam in fams]
+    assert [res.delta for res in results] == [
+        F(9, 17), F(328, 565), F(8716, 20709), F(117, 319), F(55, 73), F(773, 2117),
+        F(232, 407), F(123, 238), F(901, 1574), F(73, 179), F(10, 13), F(60, 103)]
+    assert sum(res.pivots for res in results) == 7663
+    assert all(verify_certificate(fam, res) for fam, res in zip(fams, results))
 
 
 def test_row_generation_takes_the_integers_from_the_simplex(corpus, monkeypatch):

@@ -19,7 +19,6 @@ from ptakkit.norms import (
     f_norm,
     l1_norm,
     min_ratio_nonneg,
-    min_ratio_signed_bruteforce,
 )
 
 F = Fraction
@@ -192,50 +191,47 @@ def test_min_ratio_equals_game_value_on_sample(corpus, corpus_values):
         assert min_ratio_nonneg(fam) == res.delta
 
 
-# --- min_ratio_signed_bruteforce -----------------------------------------------------
+# --- the signed ratio on a grid -----------------------------------------------------
+
+def signed_probe(fam, grid):
+    """Min fnorm(x)/l1(x) over every nonzero x with coordinates in
+    {-1, ..., -1/grid, 0, 1/grid, ..., 1}, and the first x in product order
+    that attains it: a probe of the sharp signed constant, not its value.
+    The ratio is scale-free, so the grid is walked in integers."""
+    best, witness = None, None
+    for vec in product(range(-grid, grid + 1), repeat=fam.n):
+        l1 = sum(map(abs, vec))
+        if l1:
+            ratio = f_norm(fam, vec) / l1
+            if best is None or ratio < best:
+                best, witness = ratio, tuple(F(v, grid) for v in vec)
+    return best, witness
+
 
 def test_signed_probe_full_powerset_two_labels():
-    probe = min_ratio_signed_bruteforce(cardinality_bound_family(2, 2), 4)
-    assert probe.ratio == F(1, 2)
-    assert tuple(abs(w) for w in probe.witness) == (1, 1)
-    assert probe.witness[0] * probe.witness[1] < 0  # opposite signs
+    ratio, witness = signed_probe(cardinality_bound_family(2, 2), 4)
+    assert ratio == F(1, 2)
+    assert tuple(abs(w) for w in witness) == (1, 1)
+    assert witness[0] * witness[1] < 0  # opposite signs
 
 
 def test_signed_probe_singletons_respects_half_delta():
     fam = hereditary_closure([{0}, {1}], 2)
-    probe = min_ratio_signed_bruteforce(fam, 4)
+    ratio, _ = signed_probe(fam, 4)
     delta = delta_exact(fam).delta
-    assert probe.ratio == F(1, 2)
-    assert probe.ratio >= delta / 2  # 1/2 >= 1/4
+    assert ratio == F(1, 2)
+    assert ratio >= delta / 2  # 1/2 >= 1/4
 
 
-def test_signed_probe_grid_one_vs_indicators():
-    fam = hereditary_closure([{0, 1}, {1, 2}], 3)
-    probe = min_ratio_signed_bruteforce(fam, 1)
-    indicator_best = min(
-        F(f_norm(fam, vec), sum(vec))
-        for vec in product((0, 1), repeat=3) if any(vec)
-    )
-    assert probe.ratio <= indicator_best
-
-
-def test_signed_probe_lower_envelope_of_exhaustive_grid():
-    fam = hereditary_closure([{0, 1}], 2)
-    g = 3
-    best = min(
-        F(f_norm(fam, [F(a, g), F(b, g)]), l1_norm([F(a, g), F(b, g)]))
-        for a, b in product(range(-g, g + 1), repeat=2) if (a, b) != (0, 0)
-    )
-    assert min_ratio_signed_bruteforce(fam, g).ratio == best
-
-
-def test_signed_probe_scale_guards():
-    with pytest.raises(ValueError):
-        min_ratio_signed_bruteforce(cardinality_bound_family(13, 2), 2)
-    with pytest.raises(ValueError):
-        min_ratio_signed_bruteforce(cardinality_bound_family(2, 1), 0)
-    with pytest.raises(ValueError):
-        min_ratio_signed_bruteforce(cardinality_bound_family(12, 2), 4)  # 9**12 points
+def test_signed_probe_lies_in_the_sandwich_on_small_corpus_families(corpus, corpus_values):
+    # (delta/2) l1 <= fnorm <= l1 at every point of the grid
+    checked = 0
+    for fam, res in zip(corpus, corpus_values):
+        if fam.n <= 4:
+            ratio, _ = signed_probe(fam, 2)
+            assert res.delta / 2 <= ratio <= 1
+            checked += 1
+    assert checked == 138
 
 
 # --- FamilyVector serialization ---------------------------------------------------------

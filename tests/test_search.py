@@ -203,7 +203,8 @@ def test_uniform_mean_witnesses_bound(corpus, corpus_values):
     # under the uniform mean a set weighs |F|/n, so the heaviest member is a
     # maximum member, and its weight is at least delta
     for fam, res in list(zip(corpus, corpus_values))[:40]:
-        heaviest = evaluate_mean(fam, ConvexMean.uniform(range(fam.n))) * fam.n
+        uniform = ConvexMean({s: F(1, fam.n) for s in range(fam.n)})
+        heaviest = evaluate_mean(fam, uniform) * fam.n
         assert heaviest == max_member(fam).size >= math.ceil(res.delta * fam.n)
 
 
