@@ -15,11 +15,13 @@ is the same call.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb
-from operator import and_, index, itemgetter, lt
+from operator import and_, index, itemgetter, lt, or_, rshift
+from sys import byteorder
 from typing import Iterable, Optional, Sequence
 
 Label = int
@@ -46,6 +48,24 @@ def normalize_set(members: ElementSet, n: int) -> tuple[int, ...]:
     return out
 
 
+# Labels below this take their bit from a shared table; on larger ground sets
+# masks are summed from shifts, so no table grows with n.
+_BIT = [1 << label for label in range(256)]
+
+
+def _byte_labels(first: int) -> list[tuple[int, ...]]:
+    """For each byte value, the labels of its set bits when its bit 0 is label
+    ``first``: entry ``b | 1 << j`` is entry ``b`` with ``first + j`` added."""
+    table = [()]
+    for label in range(first, first + 8):
+        table += [labels + (label,) for labels in table]
+    return table
+
+
+# the label tuple of each byte value at each byte position below len(_BIT)
+_BYTE_LABELS = [_byte_labels(8 * p) for p in range(len(_BIT) // 8)]
+
+
 def set_mask(members: Iterable[int]) -> int:
     mask = 0
     for m in members:
@@ -54,25 +74,89 @@ def set_mask(members: Iterable[int]) -> int:
 
 
 def mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """The labels of a nonnegative mask's set bits, ascending.
+
+    The mask is read a byte at a time and each byte's labels are looked up,
+    not walked bit by bit: below ``len(_BIT)`` in the table of its byte
+    position, above it as position 0's entry shifted by the byte's first
+    label.  Zero bytes above the tables are skipped at C speed, so a sparse
+    mask with a high bit costs one pass over its bytes and no table grows
+    with the highest label.
+    """
+    data = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+    low = sum(map(list.__getitem__, _BYTE_LABELS, data), ())
+    top = len(_BYTE_LABELS)
+    if len(data) <= top:
+        return low
+    out, first = list(low), _BYTE_LABELS[0]
+    for p in compress(range(top, len(data)), data[top:]):
+        out += map((8 * p).__add__, first[data[p]])
     return tuple(out)
 
 
-def _containers(sets: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
+_WORD = (1 << 64) - 1
+_BIG_ENDIAN = byteorder == "big"  # array words are native-endian, packed fields little
+# _DIGITS[j] maps a byte to the ASCII digit of its bit j
+_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
+
+
+def _packed_rows(masks: Sequence[int], k: int) -> array:
+    """The masks, each below ``2**(64*k)``, as consecutive rows of ``k``
+    little-endian 64-bit words; word ``j`` of every row is filled by one
+    ``array`` slice assignment."""
+    rows = array("Q", bytes(8 * k * len(masks)))
+    for j in range(k):
+        # word 0 needs no shift, and the top word no cut to 64 bits
+        words = map(rshift, masks, repeat(64 * j)) if j else masks
+        if j < k - 1:
+            words = map(_WORD.__and__, words)
+        rows[j::k] = array("Q", list(words))  # a list fills an array faster than map
+    if _BIG_ENDIAN:
+        rows.byteswap()
+    return rows
+
+
+def _label_columns(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> dict[int, int]:
+    """For each label the sets use, the bitset of the positions of the sets
+    holding it; ``masks`` are the sets' masks.
+
+    The masks are packed once, last first, into rows of ``k`` 64-bit words,
+    as few as the ``u`` labels in use need (:func:`_packed_rows`).  When a
+    used label lies beyond ``64k`` bits, the masks are first renumbered onto
+    the used labels, so that a few high labels cost no more than low ones.
+    A label's column is then the byte holding its bit in every row, a
+    strided slice, translated to the ASCII digits of that bit and read as
+    one base-2 integer, all at C speed.
+    """
+    used = mask_to_tuple(reduce(or_, masks))
+    k = -(-len(used) // 64)  # words per row
+    bits = used  # each used label's bit in the packed masks
+    if used[-1] >= 64 * k:
+        rank_bit = {label: 1 << r for r, label in enumerate(used)}.__getitem__
+        masks = [sum(map(rank_bit, s)) for s in sets]
+        bits = range(len(used))
+    # the last set is the most significant digit
+    raw, stride = _packed_rows(masks[::-1], k).tobytes(), 8 * k
+    return {label: int(raw[bit // 8::stride].translate(_DIGITS[bit % 8]), 2)
+            for label, bit in zip(used, bits)}
+
+
+def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int],
+                n: int) -> dict[int, int]:
     """For each set lying inside another, the index of one set containing it.
 
-    The sets must be distinct tuples of labels in ``0..n-1``.  Distinct sets
-    nest only in sets with more elements, so the sets are taken one size at a
-    time, largest first, and each is looked up among the larger sets that are
-    not themselves inside another, kept in that order.  The lookup is a bitset
-    index: for each label, the positions of the kept sets holding it.  A set
-    lies inside exactly the kept sets in the AND of its labels' bitsets, and
-    the lowest of them is reported.  Sets of one size cost no comparisons, and
-    the smallest size is never indexed, since nothing is looked up after it.
+    The sets must be distinct tuples of labels in ``0..n-1``, and ``masks``
+    their masks.  Distinct sets nest only in sets with more elements, so the
+    sets are taken one size at a time, largest first, and each is looked up
+    among the larger sets that are not themselves inside another, kept in
+    that order.  The lookup is a bitset index: for each label, the positions
+    of the kept sets holding it.  A set lies inside exactly the kept sets in
+    the AND of its labels' bitsets, and the lowest of them is reported.  The
+    sets one size adds are indexed together: past a word of them, each
+    label's new positions come from one packing of their masks
+    (:func:`_label_columns`), shifted past the kept positions in one step.
+    Sets of one size cost no comparisons, and the smallest size is never
+    indexed, since nothing is looked up after it.
     """
     by_size: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
@@ -92,19 +176,18 @@ def _containers(sets: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
                     inside[i] = kept[(found & -found).bit_length() - 1]
         if size == sizes[-1]:
             break
-        for i in group:
-            if i in inside:
-                continue
-            position = 1 << len(kept)
-            kept.append(i)
-            for label in sets[i]:
-                holding[label] |= position
+        added = [i for i in group if i not in inside]
+        if len(added) > 64:
+            columns = _label_columns([sets[i] for i in added], [masks[i] for i in added])
+            for label, column in columns.items():
+                holding[label] |= column << len(kept)
+        else:  # within a word of sets, setting each set's bits costs less
+            for position, i in enumerate(added, len(kept)):
+                bit = 1 << position
+                for label in sets[i]:
+                    holding[label] |= bit
+        kept += added
     return inside
-
-
-# Labels below this take their bit from a shared table; on larger ground sets
-# masks are summed from shifts, so no table grows with n.
-_BIT = [1 << label for label in range(256)]
 
 
 def _canonical_form(sets, n: int) -> bool:
@@ -142,13 +225,15 @@ class HereditaryFamily:
             sets = sorted({normalize_set(s, n) for s in sets})
             if sets and not sets[0]:  # the empty set sorts first
                 del sets[0]
-        inside = _containers(sets, n)
+        bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
+        masks = [sum(map(bit, s)) for s in sets]
+        inside = _containers(sets, masks, n)
         if inside:
             sets = [s for i, s in enumerate(sets) if i not in inside]
+            masks = [m for i, m in enumerate(masks) if i not in inside]
         if sets is not self.maximal:
             object.__setattr__(self, "maximal", tuple(sets))
-        bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
-        object.__setattr__(self, "masks", tuple([sum(map(bit, s)) for s in self.maximal]))
+        object.__setattr__(self, "masks", tuple(masks))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "maximal": [list(s) for s in self.maximal]}
@@ -285,7 +370,12 @@ def _json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
 def _validated_edges(edges: Sequence[Sequence[int]], n: int) -> list[tuple[int, int]]:
     out = []
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        if len(e) != 2:
+            raise ValueError(f"edge {e} needs exactly two ends")
+        try:
+            u, v = map(index, e)
+        except TypeError:
+            raise TypeError(f"edge {e} has an end that is not an integer") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {e} references labels outside 0..{n - 1}")
         if u == v:

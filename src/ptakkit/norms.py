@@ -101,16 +101,17 @@ class EquivalenceReport:
 
 def check_equivalence(fam: HereditaryFamily, x) -> EquivalenceReport:
     """Exact sandwich check: (delta/2) l1 <= fnorm <= l1, and delta-scaled
-    lower bound for nonnegative vectors."""
-    coords = _as_coords(fam, x)
-    if all(c == 0 for c in coords):
+    lower bound for nonnegative vectors.  The vector is coerced and put over
+    one denominator once, and both norms are read off those integers."""
+    nums, den = scaled_ints(_as_coords(fam, x))
+    if not any(nums):
         raise ValueError("zero vector")
-    l1 = l1_norm(coords)
-    fn = f_norm(fam, coords)
+    l1 = Fraction(sum(map(abs, nums)), den)
+    fn = Fraction(_fnorm_scaled(fam.maximal, nums), den)
     delta = delta_exact(fam).delta
     lower_ok = 2 * fn >= delta * l1
     upper_ok = fn <= l1
-    nonneg_ok = (fn >= delta * l1) if all(c >= 0 for c in coords) else None
+    nonneg_ok = (fn >= delta * l1) if min(nums) >= 0 else None
     return EquivalenceReport(l1=l1, fnorm=fn, delta=delta,
                              lower_ok=lower_ok, upper_ok=upper_ok, nonneg_ok=nonneg_ok)
 

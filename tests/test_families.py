@@ -1,7 +1,10 @@
 import json
 import random
+import time
 import tracemalloc
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,7 +239,7 @@ def test_containers_match_pairwise_scan():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), labels) == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, labels) == expected
         sizes = [m.bit_count() for m in masks]
         checked["dominated"] += bool(expected)
         checked["same size"] += len(set(sizes)) < len(sizes)
@@ -257,7 +260,7 @@ def test_containers_match_pairwise_scan_on_many_sets():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), n) == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, n) == expected
         smallest = min(m.bit_count() for m in masks)  # never indexed
         undominated_larger = sum(1 for i, m in enumerate(masks)
                                  if i not in expected and m.bit_count() > smallest)
@@ -265,6 +268,89 @@ def test_containers_match_pairwise_scan_on_many_sets():
         checked["sizes >= 5"] += len({m.bit_count() for m in masks}) >= 5
         checked["dominated"] += bool(expected)
     assert min(checked.values()) >= 10, checked
+
+def test_containers_match_pairwise_scan_on_a_size_class_of_thousands():
+    """A size class of over 1,000 sets on more than 64 labels is added to the
+    index in one packing; each set inside several kept sets is reported with
+    the lowest of them, the largest first."""
+    rng = random.Random(61)
+    n = 90
+    big = {frozenset(rng.sample(range(n), 12)) for _ in range(6)}
+    middle = {frozenset(rng.sample(sorted(b), 7)) for b in big for _ in range(30)}
+    middle |= {frozenset(rng.sample(range(n), 7)) for _ in range(1100)}
+    small = {frozenset(rng.sample(sorted(b), 4)) for b in sorted(map(sorted, middle))[:300]}
+    small |= {frozenset(rng.sample(range(n), 4)) for _ in range(100)}
+    masks = [set_mask(x) for x in big | middle | small]
+    rng.shuffle(masks)
+    kept_middle = {m for m in masks if m.bit_count() == 7
+                   and not any(m & b == m for b in map(set_mask, big))}
+    assert len(kept_middle) > 1000
+    expected = pairwise_containers(masks)
+    got = ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, n)
+    assert got == expected
+    several = [i for i in got if sum(masks[i] & b == masks[i] for b in masks) > 2]
+    assert len(several) > 30
+
+
+def test_containers_match_pairwise_scan_on_packed_size_classes():
+    """Size classes of over 64 kept sets, indexed from one packing: on labels
+    below 64 and below 128 (packed as they are), on few, high labels
+    (renumbered onto one word) and on over 64 labels spread up to 600
+    (renumbered onto two words)."""
+    rng = random.Random(73)
+    checked = {"one word": 0, "two words": 0, "few high labels": 0,
+               "over 64 labels, above 128": 0}
+    for pool in [range(40), range(120), range(300, 320), range(0, 600, 6)] * 4:
+        pool = list(pool)
+        big = [rng.sample(pool, 7) for _ in range(20)]
+        sets = {frozenset(rng.sample(pool, size)) for size, count in ((5, 120), (3, 60))
+                for _ in range(count)}
+        sets |= {frozenset(b) for b in big} | {frozenset(rng.sample(b, 5)) for b in big}
+        masks = [set_mask(x) for x in sets]
+        rng.shuffle(masks)
+        expected = pairwise_containers(masks)
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, 600) \
+            == expected
+        smallest = min(m.bit_count() for m in masks)
+        for size in {m.bit_count() for m in masks} - {smallest}:
+            added = [m for i, m in enumerate(masks) if m.bit_count() == size and i not in expected]
+            if len(added) > 64:
+                union = reduce(or_, added)
+                few = union.bit_count() <= 64
+                checked["one word"] += few and union < 1 << 64
+                checked["two words"] += not few and union < 1 << 128
+                checked["few high labels"] += few and union >= 1 << 64
+                checked["over 64 labels, above 128"] += not few and union >= 1 << 128
+    assert min(checked.values()) >= 4, checked
+
+
+def test_mask_to_tuple_matches_the_bit_walk():
+    def bit_walk(mask):
+        return tuple(label for label in range(mask.bit_length()) if mask >> label & 1)
+
+    rng = random.Random(67)
+    masks = [0, 1, 255, 256, (1 << 256) - 1, 1 << 256, (1 << 300) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(3000)]
+    masks += [rng.getrandbits(300) & rng.getrandbits(300) & rng.getrandbits(300) for _ in range(300)]
+    for mask in masks:
+        assert mask_to_tuple(mask) == bit_walk(mask)
+    assert mask_to_tuple(0) == ()
+    assert mask_to_tuple((1 << 100_000) - 1) == tuple(range(100_000))
+    dense = rng.getrandbits(100_000)
+    assert mask_to_tuple(dense) == tuple(i for i, c in enumerate(reversed(bin(dense))) if c == "1")
+    tables = len(ptakkit.families._BYTE_LABELS)
+    assert mask_to_tuple(1 << 999_999) == (999_999,)
+    assert mask_to_tuple(1 << 999_999 | 1 << 300 | 6) == (1, 2, 300, 999_999)
+    assert len(ptakkit.families._BYTE_LABELS) == tables == len(ptakkit.families._BIT) // 8
+
+
+def test_a_family_on_a_million_labels_builds_in_under_a_second():
+    start = time.perf_counter()
+    fam = family_from_json_dict({"n": 1_000_000, "maximal": [[0, 999_999], [5]]})
+    assert time.perf_counter() - start < 1
+    assert fam.maximal == ((0, 999_999), (5,))
+    assert fam.masks == (1 | 1 << 999_999, 1 << 5)
+
 
 # --- membership and hereditarity ---------------------------------------------
 
@@ -407,6 +493,23 @@ def test_realize_errors():
         realize(FamilySpec(kind="explicit", n=3))
     with pytest.raises(ValueError):
         FamilySpec.from_json_dict({"kind": "nope", "n": 3})
+
+
+@pytest.mark.parametrize("build", [maximal_cliques, maximal_independent_sets])
+def test_graph_builders_read_edge_ends_as_integers(build):
+    """Edge ends are read as integers, never truncated, and an edge has
+    exactly two of them; the error names the edge."""
+    for edges, error, message in [
+        ([(0.9, 1.7)], TypeError, "edge (0.9, 1.7) has an end that is not an integer"),
+        ([(0, 1), ("1", "2")], TypeError, "edge ('1', '2') has an end that is not an integer"),
+        ([(0, 1), (2, 3, 1)], ValueError, "edge (2, 3, 1) needs exactly two ends"),
+        ([(1,)], ValueError, "edge (1,) needs exactly two ends"),
+        ([()], ValueError, "edge () needs exactly two ends"),
+    ]:
+        with pytest.raises(error) as exc:
+            build(4, edges)
+        assert str(exc.value) == message
+    assert build(4, [[1, 2], (0, 3)]) == build(4, [(1, 2), (3, 0)])
 
 
 # --- trace ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -95,6 +96,31 @@ def test_evaluate_mean_outside_ground():
         evaluate_mean(cardinality_bound_family(2, 1), ConvexMean({-1: F(1)}))
 
 
+def test_evaluate_mean_matches_fraction_sums_over_weight_classes():
+    """From one weight class to one per label, with zero and negative weights
+    among them, on ground sets of up to 200 labels: the class sums equal the
+    Fraction sums.  A label outside the ground set is named."""
+    rng = random.Random(71)
+    classes = set()
+    for seed in range(80):
+        n = rng.choice((3, 12, 65, 130, 200))
+        fam = random_family(seed, n=n, max_sets=rng.choice((1, 20, 80)))
+        values = {F(rng.randint(-3, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, n))}
+        values = sorted(values - {F(0)}) or [F(1)]
+        weights = {s: rng.choice(values) for s in range(n)}
+        weights.update({s: F(0) for s in rng.sample(range(n), rng.randint(0, n // 2))})
+        mean = ConvexMean(weights)
+        classes.add(min(len(set(mean.weights.values())), 3))
+        classes.add("one per label" if len(set(mean.weights.values())) == n else "shared")
+        assert evaluate_mean(fam, mean) == fraction_evaluate_mean(fam, mean.weights)
+        assert evaluate_mean(hereditary_closure([], n), mean) == 0
+        assert evaluate_mean(fam, ConvexMean({})) == 0
+        outside = rng.choice((n, n + 7, -1))
+        with pytest.raises(ValueError, match=f"^weight on label {outside} outside ground set$"):
+            evaluate_mean(fam, ConvexMean({**weights, outside: F(1)}))
+    assert classes == {1, 2, 3, "one per label", "shared"}
+
+
 # --- delta_exact -------------------------------------------------------------------
 
 def test_delta_cardinality_families_small():
@@ -116,6 +142,62 @@ def test_delta_cardinality_families_small():
                 assert set(coverage) == {F(k, n)}
                 sym = GameValueResult(delta=F(k, n), primal=res.primal, dual=mu)
                 assert verify_certificate(fam, sym)
+
+
+# Graph families with known values: the independent sets of a graph G have
+# delta = 1/chi_f(G), and chi_f has a closed form on the graphs below
+# (Scheinerman & Ullman, Fractional Graph Theory, 1997).
+
+def kneser_graph(n, k):
+    """K(n, k): the k-subsets of 0..n-1, adjacent when disjoint."""
+    vertices = list(combinations(range(n), k))
+    return len(vertices), [(i, j) for (i, a), (j, b) in combinations(enumerate(vertices), 2)
+                           if not set(a) & set(b)]
+
+
+def mycielskian(n, edges):
+    """M(G) of a graph on 0..n-1: each vertex u gets a shadow n + u adjacent
+    to u's neighbours, and a hub 2n is adjacent to every shadow."""
+    shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
+    return 2 * n + 1, list(edges) + shadows + [(2 * n, n + u) for u in range(n)]
+
+
+def mycielski_chain(steps):
+    """The graphs M(C5), M(M(C5)), ... with chi_f(M(G)) = chi_f(G) + 1/chi_f(G)
+    (Larsen, Propp & Ullman 1995), starting from chi_f(C5) = 5/2."""
+    n, edges, chi = 5, cycle_edges(5), F(5, 2)
+    for _ in range(steps):
+        n, edges = mycielskian(n, edges)
+        chi += 1 / chi
+        yield n, edges, 1 / chi
+
+
+def check_graph_value(n, edges, expected):
+    fam = maximal_independent_sets(n, edges)
+    res = delta_exact(fam)
+    assert res.delta == expected
+    assert verify_certificate(fam, res)
+    return fam
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_odd_cycle_independent_sets_give_k_over_2k_plus_1(k):
+    check_graph_value(2 * k + 1, cycle_edges(2 * k + 1), F(k, 2 * k + 1))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 2)])
+def test_kneser_independent_sets_give_k_over_n(n, k):
+    vertices, edges = kneser_graph(n, k)
+    check_graph_value(vertices, edges, F(k, n))
+
+
+def test_mycielski_chain_from_c5():
+    values = []
+    for n, edges, expected in mycielski_chain(3):
+        fam = check_graph_value(n, edges, expected)
+        values.append((n, len(fam.maximal), expected))
+    assert values == [(11, 16, F(10, 29)), (23, 79, F(290, 941)),
+                      (47, 857, F(272890, 969581))]
 
 
 def test_delta_full_powerset_is_one():

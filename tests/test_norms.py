@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptakkit.norms
 from ptakkit.families import (
     cardinality_bound_family,
     cycle_edges,
@@ -142,6 +143,17 @@ def test_equivalence_signed_disjoint_singletons():
 def test_equivalence_zero_vector_rejected():
     with pytest.raises(ValueError):
         check_equivalence(cardinality_bound_family(2, 1), [0, 0])
+
+
+def test_equivalence_coerces_and_scales_its_vector_once(count_calls):
+    fam = maximal_cliques(5, cycle_edges(5))
+    coerced = count_calls("as_fraction", [ptakkit.norms])
+    scaled = count_calls("scaled_ints", [ptakkit.norms])
+    rep = check_equivalence(fam, [F(1, 2), -1, "2/3", 0, F(-3, 4)])
+    assert len(coerced) == 5 and len(scaled) == 1
+    coords = [F(1, 2), F(-1), F(2, 3), F(0), F(-3, 4)]
+    assert (rep.l1, rep.fnorm) == (l1_norm(coords), f_norm(fam, coords))
+    assert rep.nonneg_ok is None
 
 
 def test_equivalence_sandwich_on_seeded_vectors(corpus, corpus_values):
