@@ -5,9 +5,9 @@ generated file instead.  Input files must be UTF-8 JSON.  Each is read once,
 and the report records the sha256 digest of the bytes that were parsed under
 ``inputs``, next to a timestamp; given identical inputs and seeds everything
 except the timestamp is byte-identical.  Exit codes: 0 success, 1
-verification failure, 2 usage error or malformed input, reported on one
-``ptakkit <command>: <message>`` line whose message starts with the path of
-the offending file, if there is one.
+verification failure, 2 usage error, malformed input or input too large for
+the memory at hand, reported on one ``ptakkit <command>: <message>`` line
+whose message starts with the path of the offending file, if there is one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -126,11 +127,19 @@ def cmd_search(args, inputs):
 def cmd_trace(args, inputs):
     fam = _load(inputs, args.family, family_from_json_dict)
     try:
-        subset = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
+        subset = [_label(tok) for tok in args.subset.split(",") if tok.strip() != ""]
         result = trace(fam, subset)
     except ValueError as exc:
         raise InputError(f"--subset: {exc}") from None
     return True, {"labels": list(result.labels), "family": result.family.to_json_dict()}
+
+
+def _label(token: str) -> int:
+    """A ``--subset`` token as a label: ASCII decimal digits, with optional
+    whitespace around them."""
+    if not re.fullmatch(r"\s*[0-9]+\s*", token, re.ASCII):
+        raise ValueError(f"{token!r} is not a decimal label")
+    return int(token)
 
 
 def cmd_interval_bound(args, inputs):
@@ -168,9 +177,6 @@ def cmd_gen(args, inputs):
     elif args.kind == "cycle-cliques":
         payload = maximal_cliques(args.n, cycle_edges(args.n)).to_json_dict()
         params = {"n": args.n}
-    elif args.kind == "powerset":
-        payload = cardinality_bound_family(args.n, args.n).to_json_dict()
-        params = {"n": args.n}
     elif args.kind == "random":
         _at_least("--max-sets", args.max_sets, 1)
         payload = random_family(args.seed, n=args.n, max_sets=args.max_sets).to_json_dict()
@@ -189,10 +195,7 @@ def cmd_gen(args, inputs):
 
 
 def cmd_suite(args, inputs):
-    report = run_suite(args.seed, n=args.n, families=args.families,
-                       systems=args.systems, vectors=args.vectors,
-                       fp_iters=args.fp_iters,
-                       epsilon=_rational_flag("--epsilon", args.epsilon))
+    report = run_suite(args.seed)
     return report["all_pass"], report
 
 
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", cmd_gen, "generate family or interval-system files")
     p.add_argument("--kind", required=True,
-                   choices=["cardinality", "cycle-cliques", "powerset", "random", "intervals"])
+                   choices=["cardinality", "cycle-cliques", "random", "intervals"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-sets", type=int, default=40)
@@ -241,17 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("suite", cmd_suite, "run the seeded invariant suite")
-    for flag, default in [("--seed", 0), ("--n", 8), ("--families", 24), ("--systems", 8),
-                          ("--vectors", 12), ("--fp-iters", 200_000)]:
-        p.add_argument(flag, type=int, default=default)
-    p.add_argument("--epsilon", default="1/1000000")
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command: each ``cmd_*`` returns its verdict and report fields,
-    and any InputError or ValueError is exit 2 with a one-line message."""
+    and any InputError, ValueError or MemoryError is exit 2 with a one-line
+    message."""
     args = build_parser().parse_args(argv)
     inputs: dict = {}
     try:
@@ -264,6 +265,10 @@ def main(argv=None) -> int:
         _write_json(report, args.out)
     except (InputError, ValueError) as exc:
         print(f"ptakkit {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"ptakkit {args.command}: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if ok else EXIT_VERIFY
 

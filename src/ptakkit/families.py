@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress, repeat
@@ -141,22 +142,22 @@ def _label_columns(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> dic
             for label, bit in zip(used, bits)}
 
 
-def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int],
-                n: int) -> dict[int, int]:
+def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> dict[int, int]:
     """For each set lying inside another, the index of one set containing it.
 
-    The sets must be distinct tuples of labels in ``0..n-1``, and ``masks``
+    The sets must be distinct tuples of nonnegative labels, and ``masks``
     their masks.  Distinct sets nest only in sets with more elements, so the
     sets are taken one size at a time, largest first, and each is looked up
     among the larger sets that are not themselves inside another, kept in
     that order.  The lookup is a bitset index: for each label, the positions
     of the kept sets holding it.  A set lies inside exactly the kept sets in
     the AND of its labels' bitsets, and the lowest of them is reported.  The
-    sets one size adds are indexed together: past a word of them, each
-    label's new positions come from one packing of their masks
-    (:func:`_label_columns`), shifted past the kept positions in one step.
-    Sets of one size cost no comparisons, and the smallest size is never
-    indexed, since nothing is looked up after it.
+    index is keyed by the labels in use, so its size does not grow with the
+    ground set.  The sets one size adds are indexed together: past a word
+    of them, each label's new positions come from one packing of their
+    masks (:func:`_label_columns`), shifted past the kept positions in one
+    step.  Sets of one size cost no comparisons, and the smallest size is
+    never indexed, since nothing is looked up after it.
     """
     by_size: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
@@ -164,7 +165,7 @@ def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int],
     sizes = sorted(by_size, reverse=True)
     inside: dict[int, int] = {}
     kept: list[int] = []  # indices of the undominated larger sets
-    holding = [0] * n  # label -> bitset of positions in kept
+    holding: defaultdict[int, int] = defaultdict(int)  # label -> bitset of positions in kept
     positions_of = holding.__getitem__
     for size in sizes:
         group = by_size[size]
@@ -227,7 +228,7 @@ class HereditaryFamily:
                 del sets[0]
         bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
         masks = [sum(map(bit, s)) for s in sets]
-        inside = _containers(sets, masks, n)
+        inside = _containers(sets, masks)
         if inside:
             sets = [s for i, s in enumerate(sets) if i not in inside]
             masks = [m for i, m in enumerate(masks) if i not in inside]
@@ -314,18 +315,18 @@ def is_full_powerset(fam: HereditaryFamily) -> bool:
 class FamilySpec:
     """Descriptor for generated families.
 
-    Kinds: ``explicit`` (sets), ``cardinality_bound`` (k), ``graph_cliques``
-    / ``graph_independent`` (edge list), ``interval_trace`` (interval system).
+    Kinds: ``cardinality_bound`` (k), ``graph_cliques`` /
+    ``graph_independent`` (edge list), ``interval_trace`` (interval system).
+    An explicit family is written as ``{"n", "maximal"}``, not as a spec.
     """
 
     kind: str
     n: int = 0
     k: Optional[int] = None
     edges: Optional[tuple[tuple[int, int], ...]] = None
-    sets: Optional[tuple[tuple[int, ...], ...]] = None
     system: Optional[object] = None  # IntervalSystem for interval_trace
 
-    KINDS = ("explicit", "cardinality_bound", "graph_cliques", "graph_independent", "interval_trace")
+    KINDS = ("cardinality_bound", "graph_cliques", "graph_independent", "interval_trace")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilySpec":
@@ -347,8 +348,7 @@ class FamilySpec:
         edges = _json_int_rows(d["edges"], "spec field 'edges'") if "edges" in d else None
         if edges is not None and any(len(e) != 2 for e in edges):
             raise ValueError("spec field 'edges': every edge needs exactly two ends")
-        sets = _json_int_rows(d["sets"], "spec field 'sets'") if "sets" in d else None
-        return cls(kind=kind, n=n, k=k, edges=edges, sets=sets)
+        return cls(kind=kind, n=n, k=k, edges=edges)
 
 
 def _json_int(value, name: str) -> int:
@@ -454,10 +454,6 @@ def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:
 
 def realize(spec: FamilySpec) -> HereditaryFamily:
     """Build the family a spec describes."""
-    if spec.kind == "explicit":
-        if spec.sets is None:
-            raise ValueError("explicit spec needs 'sets'")
-        return hereditary_closure(spec.sets, spec.n)
     if spec.kind == "cardinality_bound":
         if spec.k is None:
             raise ValueError("cardinality_bound spec needs 'k'")

@@ -227,8 +227,11 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     sizes = list(map(len, sets))
     idx = sizes.index(max(sizes))
     active, A = [], []
-    pricing = _PackedWeights(fam)
+    # the LP has a column per label: made before the pricing fields, which
+    # are filled a word of labels at a time, so a ground set too large for
+    # memory fails at once
     ones_n = [1] * n
+    pricing = _PackedWeights(fam)
     pivots = 0
 
     while True:

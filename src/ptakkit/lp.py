@@ -50,31 +50,17 @@ class LPResult:
 
     ``x[j] = x_num[j] / den``, the objective is ``obj_num / den`` and row
     i's dual is ``dual_num[i] / den``, where ``den`` is the basis
-    determinant (always > 0).  The dual numerators are worked out when first
-    read, and are empty for :func:`solve_min_general`.  ``objective``, ``x``
-    and ``duals`` are the same values as reduced Fractions.
+    determinant (always > 0).  ``dual_num`` is empty for
+    :func:`solve_min_general`.  ``objective``, ``x`` and ``duals`` are the
+    same values as reduced Fractions.
     """
 
-    __slots__ = ("x_num", "den", "obj_num", "pivots", "_tableau", "_dual_num")
+    __slots__ = ("x_num", "den", "obj_num", "dual_num", "pivots")
 
-    def __init__(self, x_num: list[int], den: int, obj_num: int, pivots: int):
+    def __init__(self, x_num: list[int], den: int, obj_num: int, dual_num: list[int],
+                 pivots: int):
         self.x_num, self.den, self.obj_num = x_num, den, obj_num
-        self.pivots = pivots
-        self._tableau = None  # (nonbasic labels, cost row, row count) until duals are read
-        self._dual_num: list[int] = []
-
-    @property
-    def dual_num(self) -> list[int]:
-        if self._tableau is not None:
-            nonbasic, z, m = self._tableau
-            n, dual = len(self.x_num), [0] * m
-            # row i's slack has label n + i; its dual is its reduced cost
-            # while nonbasic, and 0 while basic
-            for label, cost in zip(nonbasic, z):
-                if label >= n:
-                    dual[label - n] = cost
-            self._dual_num, self._tableau = dual, None
-        return self._dual_num
+        self.dual_num, self.pivots = dual_num, pivots
 
     @property
     def objective(self) -> Fraction:
@@ -149,10 +135,7 @@ def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
 
 def _simplex(c, A, b, maximize):
     """The one simplex over ``Ax <= b, x >= 0``, ``b >= 0``: minimize ``c.x``,
-    or, if ``maximize``, minimize ``-c.x``.
-
-    Returns the result, without duals, and the final nonbasic labels, cost
-    row and row count, from which :class:`LPResult` reads the duals.
+    or, if ``maximize``, minimize ``-c.x`` and read off the duals.
     """
     n = len(c)
     if len(b) != len(A):
@@ -180,7 +163,15 @@ def _simplex(c, A, b, maximize):
             x_num[bi] = rows[i][-1]
     # the cost row's last entry is -D times the minimum
     obj_num = z[-1] if maximize else -z[-1]
-    return LPResult(x_num, d, obj_num, pivots), (nonbasic, z, len(rows))
+    dual_num = []
+    if maximize:
+        # row i's slack has label n + i; its dual is its reduced cost while
+        # nonbasic, and 0 while basic
+        dual_num = [0] * len(rows)
+        for label, cost in zip(nonbasic, z):
+            if label >= n:
+                dual_num[label - n] = cost
+    return LPResult(x_num, d, obj_num, dual_num, pivots)
 
 
 def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]],
@@ -190,9 +181,7 @@ def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]],
     ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
     ``duals . b == objective`` by strong duality).
     """
-    res, tableau = _simplex(c, A, b, True)
-    res._tableau = tableau
-    return res
+    return _simplex(c, A, b, True)
 
 
 def solve_min_general(c: Sequence[int], A: Sequence[Sequence[int]],
@@ -202,4 +191,4 @@ def solve_min_general(c: Sequence[int], A: Sequence[Sequence[int]],
     The same tableau as :func:`solve_max_slack` on the negated costs; the
     duals of the result are left empty.
     """
-    return _simplex(c, A, b, False)[0]
+    return _simplex(c, A, b, False)

@@ -1,8 +1,8 @@
 """End-to-end invariant suite over seeded random instances.
 
 Everything is derived deterministically from one seed, so two runs with the
-same configuration produce identical reports; the CLI wraps this in a JSON
-report (timestamp excluded from any byte comparison).
+same seed produce identical reports; the CLI wraps this in a JSON report
+(timestamp excluded from any byte comparison).
 """
 
 from __future__ import annotations
@@ -20,17 +20,22 @@ from .families import (
     random_family,
     trace,
 )
-from .game import (
-    MAX_PLAY_ITERS,
-    GameValueResult,
-    delta_exact,
-    fictitious_play,
-    verify_certificate,
-)
+from .game import GameValueResult, delta_exact, fictitious_play, verify_certificate
 from .intervals import helly_check, measure_lower_bound, random_system, direct_intersection, trace_family
 from .norms import f_norm, l1_norm, min_ratio_nonneg
 from .rationals import format_rational
 from .search import BoundReport, greedy_member, max_member
+
+
+# The suite's instances: ground sets of up to N labels, FAMILIES random
+# families, SYSTEMS interval systems, VECTORS norm vectors per family, and a
+# play bracket of at most FP_ITERS iterations, stopped at width EPSILON.
+N = 8
+FAMILIES = 24
+SYSTEMS = 8
+VECTORS = 12
+FP_ITERS = 200_000
+EPSILON = Fraction(1, 10**6)
 
 
 def _check(results: dict, name: str, cases: int, failures: list) -> None:
@@ -42,32 +47,18 @@ def _check(results: dict, name: str, cases: int, failures: list) -> None:
     }
 
 
-def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
-              vectors: int = 12, fp_iters: int = 200_000,
-              epsilon: Fraction = Fraction(1, 10**6)) -> dict:
-    """Run every cross-module invariant on seeded instances; returns the
-    report dict with an ``all_pass`` flag.
-
-    Raises ``ValueError`` naming the ``ptakkit suite`` flag of a parameter
-    out of range.
-    """
-    for flag, value, least in (("--n", n, 1), ("--families", families, 1),
-                               ("--systems", systems, 0), ("--vectors", vectors, 0),
-                               ("--fp-iters", fp_iters, 1)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    if fp_iters > MAX_PLAY_ITERS:
-        raise ValueError(f"--fp-iters must be at most {MAX_PLAY_ITERS}, got {fp_iters}")
-    if epsilon <= 0:
-        raise ValueError(f"--epsilon must be positive, got {epsilon}")
+def run_suite(seed: int) -> dict:
+    """Run every cross-module invariant on the instances ``seed`` draws, at
+    the sizes of the module constants; returns the report dict, which records
+    those sizes under ``parameters``, with an ``all_pass`` flag."""
     rng = random.Random(seed)
-    fam_seeds = [rng.randrange(2**32) for _ in range(families)]
-    sys_seeds = [rng.randrange(2**32) for _ in range(systems)]
+    fam_seeds = [rng.randrange(2**32) for _ in range(FAMILIES)]
+    sys_seeds = [rng.randrange(2**32) for _ in range(SYSTEMS)]
     vec_rng = random.Random(rng.randrange(2**32))
 
     fams: list[HereditaryFamily] = []
     for s in fam_seeds:
-        size = random.Random(s ^ 0xA5A5).randint(2, max(2, n))
+        size = random.Random(s ^ 0xA5A5).randint(2, N)
         fams.append(random_family(s, n=size, max_sets=24))
     values = [delta_exact(f) for f in fams]
 
@@ -93,7 +84,7 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
 
     failures = []
     for i, (f, r) in enumerate(zip(fams, values)):
-        fp = fictitious_play(f, fp_iters, epsilon)
+        fp = fictitious_play(f, FP_ITERS, EPSILON)
         if not fp.contains(r.delta):
             failures.append((i, "containment"))
     _check(checks, "oracle_bracket", len(fams), failures)
@@ -113,7 +104,7 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
     failures = []
     cases = 0
     for i, (f, r) in enumerate(zip(fams, values)):
-        for _ in range(vectors):
+        for _ in range(VECTORS):
             coords = [Fraction(vec_rng.randint(-9, 9), vec_rng.randint(1, 7))
                       for _ in range(f.n)]
             if all(c == 0 for c in coords):
@@ -163,7 +154,7 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
     sys_list = []
     for s in sys_seeds:
         srng = random.Random(s)
-        sys_list.append(random_system(s, srng.randint(1, n), srng.randint(1, 3),
+        sys_list.append(random_system(s, srng.randint(1, N), srng.randint(1, 3),
                                       Fraction(srng.randint(0, 4), 20)))
     for i, sysm in enumerate(sys_list):
         rep = measure_lower_bound(sysm)
@@ -182,7 +173,7 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
     cases = 0
     for i, s in enumerate(sys_seeds):
         srng = random.Random(s ^ 0x5EED)
-        single = random_system(s ^ 0x5EED, srng.randint(1, min(n, 8)), 1,
+        single = random_system(s ^ 0x5EED, srng.randint(1, N), 1,
                                Fraction(srng.randint(0, 3), 12))
         cases += 1
         if not helly_check(single):
@@ -193,12 +184,12 @@ def run_suite(seed: int, n: int = 8, families: int = 24, systems: int = 8,
         "command": "suite",
         "seed": seed,
         "parameters": {
-            "n": n,
-            "families": families,
-            "systems": systems,
-            "vectors": vectors,
-            "fp_iters": fp_iters,
-            "epsilon": format_rational(epsilon),
+            "n": N,
+            "families": FAMILIES,
+            "systems": SYSTEMS,
+            "vectors": VECTORS,
+            "fp_iters": FP_ITERS,
+            "epsilon": format_rational(EPSILON),
         },
         "algorithm": GENERATOR_ALGORITHM,
         "backend": accel.backend_name(),

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -93,13 +95,20 @@ def test_gen_infeasible_parameters_exit_2(capsys):
     (["--kind", "cardinality", "--n", "3", "--k", "-1"], "--k"),
     (["--kind", "cardinality", "--n", "3", "--k", "4"], "--k"),
     (["--kind", "cardinality", "--n", "0", "--k", "0"], "--n"),
-    (["--kind", "powerset", "--n", "0"], "--n"),
+    (["--kind", "cycle-cliques", "--n", "0"], "--n"),
     (["--kind", "cycle-cliques", "--n", "2"], "--n"),
 ])
 def test_gen_bad_flag_exit_2_names_flag(capsys, argv, flag):
     rc, out, err = run(capsys, "gen", *argv)
     assert rc == 2 and out == ""
     assert err.startswith(f"ptakkit gen: {flag} ")
+
+
+def test_gen_powerset_kind_is_rejected(capsys):
+    # the powerset on n labels is --kind cardinality --n N --k N
+    rc, out, err = run(capsys, "gen", "--kind", "powerset", "--n", "3")
+    assert rc == 2 and out == ""
+    assert "--kind" in err and "'powerset'" in err
 
 
 def test_gen_seed_defaults_to_zero_and_ignores_env(tmp_path, capsys, monkeypatch):
@@ -283,6 +292,9 @@ def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
     # search has no budget: argparse rejects the flag itself
     ("search", "--budget", "-1"),
     ("search", "--budget", "-5"),
+    # labels are ASCII decimal digits: no underscores, no other scripts' digits
+    ("trace", "--subset", "1_0"),
+    ("trace", "--subset", "\u0665"),
 ])
 def test_bad_flag_exit_2_names_flag(family_file, capsys, command, flag, value):
     rc, out, err = run(capsys, command, "--family", str(family_file), f"{flag}={value}")
@@ -293,30 +305,19 @@ def test_bad_flag_exit_2_names_flag(family_file, capsys, command, flag, value):
 # --- suite ------------------------------------------------------------------------------
 
 def test_suite_deterministic_and_green(tmp_path, capsys):
+    """The seed defaults to 0, and the sizes are fixed and reported."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["suite", "--seed", "7", "--n", "6", "--families", "8", "--systems", "4",
-            "--vectors", "6", "--fp-iters", "50000"]
-    assert run(capsys, *args, "--out", str(a))[0] == 0
-    assert run(capsys, *args, "--out", str(b))[0] == 0
+    assert run(capsys, "suite", "--out", str(a))[0] == 0
+    assert run(capsys, "suite", "--seed", "0", "--out", str(b))[0] == 0
     assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
     rep = json.loads(a.read_text())
-    assert rep["all_pass"] is True
+    assert rep["seed"] == 0 and rep["all_pass"] is True
     assert all(c["pass"] for c in rep["checks"].values())
+    assert rep["parameters"] == {"n": 8, "families": 24, "systems": 8, "vectors": 12,
+                                 "fp_iters": 200000, "epsilon": "1/1000000"}
 
 
-def test_suite_huge_epsilon_reports_like_epsilon_2(capsys):
-    args = ["suite", "--n", "6", "--families", "8", "--systems", "4", "--vectors", "6",
-            "--fp-iters", "50000"]
-    reports = []
-    for eps in (HUGE_EPSILON, "2"):
-        rc, out, _ = run(capsys, *args, "--epsilon", eps)
-        assert rc == 0
-        rep = report_of(out)
-        del rep["timestamp"], rep["parameters"]["epsilon"]
-        reports.append(rep)
-    assert reports[0] == reports[1]
-
-
+# suite takes only --seed (and --out): argparse rejects every other flag
 @pytest.mark.parametrize("flag, value", [
     ("--families", "0"),
     ("--fp-iters", "0"),
@@ -343,6 +344,15 @@ def test_malformed_json_exit_2_with_line_diagnostic(tmp_path, capsys):
     rc, _, err = run(capsys, "delta", "--family", str(bad))
     assert rc == 2
     assert f"{bad}:1:" in err
+
+
+def test_explicit_spec_kind_exit_2_names_kind(tmp_path, capsys):
+    # an explicit family is written {"n", "maximal"}, not as a spec
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"spec": {"kind": "explicit", "n": 3, "sets": [[0, 1]]}}))
+    rc, out, err = run(capsys, "delta", "--family", str(bad))
+    assert rc == 2 and out == ""
+    assert err == f"ptakkit delta: {bad}: spec field 'kind': unknown kind 'explicit'\n"
 
 
 def test_schema_error_exit_2_names_field(tmp_path, capsys):
@@ -521,6 +531,31 @@ def test_oversized_clique_enumeration_exit_2(tmp_path, capsys, monkeypatch):
     assert str(fam) in err and "ENUMERATION_LIMIT = 100" in err
 
 
+def test_billion_label_family_in_1_gb_of_address_space(tmp_path):
+    """A family costs memory for the labels its sets use, not for n: trace
+    runs in 1 GB of address space, and delta, whose LP has a column per label,
+    exits 2 with one line instead of a traceback.  The limit is set on the
+    child process only."""
+    resource = pytest.importorskip("resource")
+    fam = tmp_path / "big.json"
+    fam.write_text(json.dumps({"n": 10**9, "maximal": [[0, 1], [2]]}))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024,) * 2)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "ptakkit.cli", *argv, "--family", str(fam)],
+                              capture_output=True, text=True, preexec_fn=limit, timeout=120)
+
+    traced = cli("trace", "--subset", "0")
+    assert traced.returncode == 0, traced.stderr
+    assert json.loads(traced.stdout)["family"] == {"n": 1, "maximal": [[0]]}
+    solved = cli("delta")
+    assert solved.returncode == 2 and solved.stdout == ""
+    assert solved.stderr.startswith("ptakkit delta: out of memory")
+    assert solved.stderr.count("\n") == 1
+
+
 # --- every input file format, fuzzed ---------------------------------------------------
 # Each document is drawn well formed for a ground set of n <= 8 labels (at most
 # 12 sets), with a bad rational now and then.  Three in seven are kept as they
@@ -567,7 +602,6 @@ def family(n):
     sets = st.lists(st.lists(labels, min_size=1, max_size=n), max_size=12)
     edges = st.lists(st.lists(labels, min_size=2, max_size=2), max_size=12)
     spec = st.one_of(
-        st.fixed_dictionaries({"kind": st.just("explicit"), "n": st.just(n), "sets": sets}),
         st.fixed_dictionaries({"kind": st.just("cardinality_bound"), "n": st.just(n),
                                "k": st.integers(0, n)}),
         st.fixed_dictionaries({"kind": st.sampled_from(["graph_cliques", "graph_independent"]),

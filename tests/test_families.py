@@ -239,7 +239,7 @@ def test_containers_match_pairwise_scan():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, labels) == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks) == expected
         sizes = [m.bit_count() for m in masks]
         checked["dominated"] += bool(expected)
         checked["same size"] += len(set(sizes)) < len(sizes)
@@ -260,7 +260,7 @@ def test_containers_match_pairwise_scan_on_many_sets():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, n) == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks) == expected
         smallest = min(m.bit_count() for m in masks)  # never indexed
         undominated_larger = sum(1 for i, m in enumerate(masks)
                                  if i not in expected and m.bit_count() > smallest)
@@ -286,7 +286,7 @@ def test_containers_match_pairwise_scan_on_a_size_class_of_thousands():
                    and not any(m & b == m for b in map(set_mask, big))}
     assert len(kept_middle) > 1000
     expected = pairwise_containers(masks)
-    got = ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, n)
+    got = ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks)
     assert got == expected
     several = [i for i in got if sum(masks[i] & b == masks[i] for b in masks) > 2]
     assert len(several) > 30
@@ -309,8 +309,7 @@ def test_containers_match_pairwise_scan_on_packed_size_classes():
         masks = [set_mask(x) for x in sets]
         rng.shuffle(masks)
         expected = pairwise_containers(masks)
-        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks, 600) \
-            == expected
+        assert ptakkit.families._containers(list(map(mask_to_tuple, masks)), masks) == expected
         smallest = min(m.bit_count() for m in masks)
         for size in {m.bit_count() for m in masks} - {smallest}:
             added = [m for i, m in enumerate(masks) if m.bit_count() == size and i not in expected]
@@ -489,8 +488,6 @@ def test_realize_errors():
         realize(FamilySpec(kind="cardinality_bound", n=3, k=4))
     with pytest.raises(ValueError):
         realize(FamilySpec(kind="graph_cliques", n=3, edges=((0, 3),)))
-    with pytest.raises(ValueError):
-        realize(FamilySpec(kind="explicit", n=3))
     with pytest.raises(ValueError):
         FamilySpec.from_json_dict({"kind": "nope", "n": 3})
 

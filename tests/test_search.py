@@ -187,10 +187,10 @@ def test_run_suite_solves_and_searches_each_family_once(count_calls):
     solves = count_calls("delta_exact",
                          [ptakkit.game, ptakkit.suite, ptakkit.search, ptakkit.norms])
     searches = count_calls("max_member", [ptakkit.search, ptakkit.suite])
-    rep = run_suite(3, n=5, families=4, systems=2, vectors=2, fp_iters=5000)
+    rep = run_suite(3)
     assert rep["all_pass"]
-    assert len(solves) == 4 + 2
-    assert len(searches) == 4
+    assert len(solves) == 24 + 8  # each family, then each interval system's trace
+    assert len(searches) == 24
 
 
 def test_bound_holds_on_corpus_sample(corpus):
