@@ -202,6 +202,11 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     current optimal mean until none is violated.  The dual weights are scaled
     to sum to 1, so min-coverage equals the value exactly.
 
+    Each round solves the LP of the last round plus its new row, resuming
+    from the last round's result (``solve_max_slack(..., after=res)``), so
+    the pivots the two Bland paths share are not made again; ``pivots``
+    counts each round's whole path, as a solve from the slack basis would.
+
     Each round reads the mean straight off the LP's integers, ``x_num`` over
     the basis determinant, and prices every maximal set at once
     (:class:`_PackedWeights`): the mean, as nonnegative integers ``nums``, is
@@ -232,7 +237,7 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     # memory fails at once
     ones_n = [1] * n
     pricing = _PackedWeights(fam)
-    pivots = 0
+    pivots, res = 0, None
 
     while True:
         active.append(idx)
@@ -240,7 +245,7 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         for s in sets[idx]:
             row[s] = 2
         A.append(row)
-        res = solve_max_slack(ones_n, A, [1] * len(active))
+        res = solve_max_slack(ones_n, A, [1] * len(active), after=res)
         pivots += res.pivots
         # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1.  Taking
         # x = x_num / den to lowest common terms keeps the pricing fields narrow

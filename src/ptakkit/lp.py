@@ -5,7 +5,8 @@ One method, :func:`_simplex`: minimize over ``Ax <= b, x >= 0`` with
 artificial column.  Two entry points:
 
 * :func:`solve_max_slack` -- maximize, adding the dual multipliers read off
-  the final reduced costs.
+  the final reduced costs; it can resume from the result of the same
+  program without its last row.
 * :func:`solve_min_general` -- minimize; value and primal only.
 
 Variables have labels: x is ``0..n-1``, then row i's slack is ``n + i``.
@@ -22,6 +23,8 @@ the cost row and the old ``D`` in the pivot row, which is what the pivot
 makes of its unit column.  So a pivot updates ``r * (n + 1)`` entries, where
 the full tableau has ``r`` more columns.  No gcd is taken during a solve, and
 entries stay minors of the input, so they grow only as far as those do.
+Pivoting again on the same entry, which now holds the old ``D``, restores the
+tableau before the pivot exactly, so a pivot can be undone.
 
 The program must be given in Python ints: ``//`` would floor a Fraction
 without a word, so any other entry raises TypeError.
@@ -32,13 +35,25 @@ row and compares ratios by cross-multiplying, so it makes exactly the pivots
 a rational tableau would and guarantees termination.  The result keeps
 the final tableau's integers, x, the objective and the duals, all over
 ``D``.  It makes Fractions of them only when they are read.
+
+The result also keeps its input rows, its final tableau and its Bland path:
+for each pivot, the pivot row as it was, ``D`` before it and where it sat.
+Bland's choices at a step read only the cost row and the rows' ratios, and
+a row changes only by the pivot rows above it, so the program with one more
+row follows the same path until the step where the new row first strictly
+wins the ratio test (on a tie the older row wins, since the new slack has
+the highest label).  ``solve_max_slack(..., after=result)`` eliminates only
+the new row along the kept path to find that step, reaches the tableau
+there from the nearer end -- undoing the path's last pivots on a copy of
+the final tableau, or pivoting again from the slack basis -- and goes on by
+Bland's rule.  Every pivot, x, dual and count is the cold solve's.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class UnboundedError(ArithmeticError):
@@ -53,14 +68,20 @@ class LPResult:
     determinant (always > 0).  ``dual_num`` is empty for
     :func:`solve_min_general`.  ``objective``, ``x`` and ``duals`` are the
     same values as reduced Fractions.
+
+    ``pivots`` is the length of Bland's path from the slack basis, the same
+    for a resumed solve as for a cold one; ``pivots_made`` is the number of
+    pivots the call performed, undone pivots included.
     """
 
-    __slots__ = ("x_num", "den", "obj_num", "dual_num", "pivots")
+    __slots__ = ("x_num", "den", "obj_num", "dual_num", "pivots", "pivots_made", "_kept")
 
     def __init__(self, x_num: list[int], den: int, obj_num: int, dual_num: list[int],
-                 pivots: int):
+                 pivots: int, pivots_made: int, kept: tuple):
         self.x_num, self.den, self.obj_num = x_num, den, obj_num
-        self.dual_num, self.pivots = dual_num, pivots
+        self.dual_num, self.pivots, self.pivots_made = dual_num, pivots, pivots_made
+        # (input rows, initial cost row, rows, cost row, basis, nonbasic, path)
+        self._kept = kept
 
     @property
     def objective(self) -> Fraction:
@@ -86,11 +107,14 @@ def _eliminate(row, prow, p, d, pc):
     return [p * a // d for a in row]
 
 
-def _pivot(rows, z, basis, nonbasic, d, pr, pc) -> int:
-    """Pivot on ``rows[pr][pc]`` over determinant ``d``; returns the new one.
+def _pivot(rows, z, basis, nonbasic, d, pr, pc):
+    """Pivot on ``rows[pr][pc]`` over determinant ``d``; returns the pivot
+    row as it was, whose entry ``pc`` is the new determinant.
 
     The entering variable of column ``pc`` and the leaving variable of row
-    ``pr`` swap labels, and the column becomes the leaving variable's.
+    ``pr`` swap labels, and the column becomes the leaving variable's.  Rows
+    are replaced, never changed in place, so a copy of the list of rows
+    shares them safely.
     """
     prow = rows[pr]
     p = prow[pc]
@@ -98,14 +122,16 @@ def _pivot(rows, z, basis, nonbasic, d, pr, pc) -> int:
         if i != pr:
             rows[i] = _eliminate(rows[i], prow, p, d, pc)
     z[:] = _eliminate(z, prow, p, d, pc)
-    prow[pc] = d
+    rows[pr] = new = prow.copy()
+    new[pc] = d
     basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
-    return p
+    return prow
 
 
-def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
-    """Run minimizing simplex to optimality; returns pivot count and determinant."""
-    pivots, d = 0, 1
+def _bland_min(rows, z, basis, nonbasic, d, path) -> int:
+    """Run minimizing simplex to optimality from determinant ``d``, appending
+    ``(pr, pc, d, pivot row)`` to ``path`` for each pivot; returns the final
+    determinant."""
     label_of = nonbasic.__getitem__
     order = sorted(range(len(nonbasic)), key=label_of)  # columns by label
     while True:
@@ -113,7 +139,7 @@ def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
             if z[pc] < 0:
                 break
         else:
-            return pivots, d
+            return d
         pr = -1
         for i, row in enumerate(rows):
             a = row[pc]
@@ -127,20 +153,55 @@ def _bland_min(rows, z, basis, nonbasic) -> tuple[int, int]:
                     pr, num, den = i, row[-1], a
         if pr < 0:
             raise UnboundedError("objective unbounded below")
-        d = _pivot(rows, z, basis, nonbasic, d, pr, pc)
-        pivots += 1
+        prow = _pivot(rows, z, basis, nonbasic, d, pr, pc)
+        path.append((pr, pc, d, prow))
+        d = prow[pc]
         order.remove(pc)  # column pc now holds the leaving label
         insort(order, pc, key=label_of)
 
 
-def _simplex(c, A, b, maximize):
+def _slack_start(inputs, cost, n):
+    """The tableau over the all-slack basis: ``(rows, z, basis, nonbasic, d)``."""
+    return [*inputs], [*cost], list(range(n, n + len(inputs))), list(range(n)), 1
+
+
+def _resume(after, new, n):
+    """The tableau of ``after``'s program plus the row ``new``, at the step
+    where Bland's path first leaves ``after``'s.
+
+    Returns ``(rows, z, basis, nonbasic, d, path, made)``, with the path up
+    to that step and the number of pivots made to reach it.
+    """
+    inputs, cost, rows, z, basis, nonbasic, path = after._kept
+    k = len(path)
+    for step, (pr, pc, d, prow) in enumerate(path):
+        a, p = new[pc], prow[pc]
+        if a > 0 and new[-1] * p < prow[-1] * a:  # the new row wins the ratio test
+            k = step
+            break
+        new = _eliminate(new, prow, p, d, pc)
+    if 2 * k < len(path):  # nearer the slack basis: make the first k pivots again
+        rows, z, basis, nonbasic, d = _slack_start(inputs, cost, n)
+        steps = path[:k]
+    else:  # nearer the end: undo the pivots past step k
+        rows, z, basis, nonbasic, d = [*rows], [*z], [*basis], [*nonbasic], after.den
+        steps = path[k:][::-1]
+    for pr, pc, _, _ in steps:
+        d = _pivot(rows, z, basis, nonbasic, d, pr, pc)[pc]
+    rows.append(new)
+    basis.append(n + len(rows) - 1)
+    return rows, z, basis, nonbasic, d, path[:k], len(steps)
+
+
+def _simplex(c, A, b, maximize, after=None):
     """The one simplex over ``Ax <= b, x >= 0``, ``b >= 0``: minimize ``c.x``,
-    or, if ``maximize``, minimize ``-c.x`` and read off the duals.
+    or, if ``maximize``, minimize ``-c.x`` and read off the duals.  ``after``
+    is the result of the same program without its last row.
     """
     n = len(c)
     if len(b) != len(A):
         raise ValueError(f"b has {len(b)} entries for {len(A)} rows of A")
-    rows = []
+    inputs = []
     for i, (coeffs, rhs) in enumerate(zip(A, b)):
         if len(coeffs) != n:
             raise ValueError(f"row {i} of A has {len(coeffs)} entries, expected {n}")
@@ -149,14 +210,21 @@ def _simplex(c, A, b, maximize):
             raise TypeError(f"row {i} of A and b: entries must be ints")
         if rhs < 0:
             raise ValueError(f"row {i}: slack start needs b >= 0")
-        rows.append(row)
+        inputs.append(row)
     # checked before negating, which would make a bool an int
     if not {int}.issuperset(map(type, c)):
         raise TypeError("c: entries must be ints")
-    z = [*(-v for v in c), 0] if maximize else [*c, 0]  # priced out over the slack basis
-    basis = list(range(n, n + len(rows)))
-    nonbasic = list(range(n))
-    pivots, d = _bland_min(rows, z, basis, nonbasic)
+    cost = [*(-v for v in c), 0] if maximize else [*c, 0]  # priced out over the slack basis
+    if after is None:
+        rows, z, basis, nonbasic, d = _slack_start(inputs, cost, n)
+        path, made = [], 0
+    elif not (isinstance(after, LPResult) and inputs and after._kept[1] == cost
+              and after._kept[0] == inputs[:-1]):
+        raise ValueError("after: not the result of this program without its last row")
+    else:
+        rows, z, basis, nonbasic, d, path, made = _resume(after, inputs[-1], n)
+    start = len(path)
+    d = _bland_min(rows, z, basis, nonbasic, d, path)
     x_num = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
@@ -168,20 +236,28 @@ def _simplex(c, A, b, maximize):
         # row i's slack has label n + i; its dual is its reduced cost while
         # nonbasic, and 0 while basic
         dual_num = [0] * len(rows)
-        for label, cost in zip(nonbasic, z):
+        for label, reduced in zip(nonbasic, z):
             if label >= n:
-                dual_num[label - n] = cost
-    return LPResult(x_num, d, obj_num, dual_num, pivots)
+                dual_num[label - n] = reduced
+    return LPResult(x_num, d, obj_num, dual_num, len(path), made + len(path) - start,
+                    (inputs, cost, rows, z, basis, nonbasic, path))
 
 
-def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]],
-                    b: Sequence[int]) -> LPResult:
+def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[int], *,
+                    after: Optional[LPResult] = None) -> LPResult:
     """Maximize ``c.x`` subject to ``Ax <= b``, ``x >= 0``, requiring ``b >= 0``.
 
     ``duals[i]`` is the optimal multiplier of row i (``>= 0``, with
     ``duals . b == objective`` by strong duality).
+
+    ``after``, if given, is the result of this call on the same ``c`` and
+    the rows of ``A`` and ``b`` without the last; anything else raises
+    ValueError.  The solve then resumes Bland's path from it and returns
+    the cold solve's result, ``pivots`` included, while ``pivots_made``
+    counts only the pivots this call made.  ``after`` is left unchanged,
+    so it can be extended more than once.
     """
-    return _simplex(c, A, b, True)
+    return _simplex(c, A, b, True, after)
 
 
 def solve_min_general(c: Sequence[int], A: Sequence[Sequence[int]],

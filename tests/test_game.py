@@ -279,8 +279,8 @@ def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
     solves = []
     solve = ptakkit.game.solve_max_slack
 
-    def recording(c, A, b):
-        res = solve(c, A, b)
+    def recording(c, A, b, after=None):
+        res = solve(c, A, b, after=after)
         solves.append(([tuple(s for s, v in enumerate(row) if v == 2) for row in A], res.x))
         return res
 

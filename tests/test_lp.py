@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import ptakkit.game
+import ptakkit.lp
 import ptakkit.norms
 from ptakkit.families import random_family
 from ptakkit.game import delta_exact, verify_certificate
@@ -196,6 +197,139 @@ def test_rows_must_match_costs_and_right_hand_side(solve):
         solve([1], [[1]], [1, 1])
 
 
+# --- resuming from the program without its last row --------------------------
+
+def grown_programs(seed, count):
+    """``count`` seeded integer programs ``(c, A, b)`` with up to 10 rows,
+    zeros in ``b`` included, so that ratio ties and degenerate pivots occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(1, 6), rng.randint(2, 10)
+        c = [rng.randint(-2, 5) for _ in range(n)]
+        A = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((0, rng.randint(1, 6))) for _ in range(m)]
+        yield c, A, b
+
+
+def fields(res):
+    return res.x_num, res.den, res.obj_num, res.dual_num, res.pivots
+
+
+@pytest.fixture()
+def resumes(monkeypatch):
+    """``(k, K)`` for each resumed solve: its path leaves the kept path of
+    ``K`` pivots at step ``k``."""
+    seen = []
+    resume = ptakkit.lp._resume
+
+    def recording(after, new, n):
+        out = resume(after, new, n)
+        seen.append((len(out[5]), after.pivots))
+        return out
+
+    monkeypatch.setattr(ptakkit.lp, "_resume", recording)
+    return seen
+
+
+def test_resumed_solve_is_the_cold_solve(resumes):
+    """Programs grown one row at a time, each solve resumed from the last:
+    every result is the cold solve's, pivot count included, and both ends
+    of the path are used to reach the step where the new row first wins."""
+    for c, A, b in grown_programs(3, 300):
+        res = None
+        for j in range(1, len(A) + 1):
+            cold = outcome(solve_max_slack, c, A[:j], b[:j])
+            if isinstance(cold, type):
+                # a row more keeps a bounded program bounded, so the rows
+                # before this one left nothing to resume from
+                assert res is None
+                continue
+            warm = solve_max_slack(c, A[:j], b[:j], after=res)
+            assert fields(warm) == fields(cold)
+            assert cold.pivots_made == cold.pivots
+            if res is not None:
+                # step k is reached from the nearer end of the kept path
+                k, K = resumes[-1]
+                assert k <= warm.pivots and K == res.pivots
+                assert warm.pivots_made == min(k, K - k) + warm.pivots - k
+            res = warm
+    assert len(resumes) > 500
+    # pivots made again from the slack basis, pivots undone, and neither
+    assert any(0 < 2 * k < K for k, K in resumes)
+    assert any(K / 2 <= k < K for k, K in resumes)
+    assert any(k == K for k, K in resumes)
+
+
+def test_pivoting_again_on_the_same_entry_undoes_a_pivot():
+    """Bareiss pivots are invertible: pivoting on the entry a pivot left at
+    its place, which holds the old determinant, restores every row, the
+    cost row, the labels and the determinant exactly."""
+    undone = 0
+    for c, A, b in grown_programs(4, 100):
+        res = outcome(solve_max_slack, c, A, b)
+        if isinstance(res, type):
+            continue
+        _, _, rows, z, basis, nonbasic, _ = res._kept
+        before = [row.copy() for row in rows], z.copy(), basis.copy(), nonbasic.copy()
+        for pr, row in enumerate(rows):
+            for pc, p in enumerate(row[:-1]):
+                if p > 0:
+                    state = [*rows], [*z], [*basis], [*nonbasic]
+                    d = ptakkit.lp._pivot(*state, res.den, pr, pc)[pc]
+                    assert d == p and state[0][pr][pc] == res.den
+                    d = ptakkit.lp._pivot(*state, d, pr, pc)[pc]
+                    assert d == res.den and state == before
+                    undone += 1
+        # the kept tableau is not changed in place
+        assert (rows, z, basis, nonbasic) == before
+    assert undone > 100
+
+
+def test_after_must_be_the_program_without_its_last_row():
+    c, A, b = [1, 1], [[1, 2], [2, 1], [1, 1]], [4, 4, 3]
+    res = solve_max_slack(c, A[:2], b[:2])
+    wrong = [
+        ([1, 2], A, b),                        # other costs
+        (c, [[1, 3], *A[1:]], b),              # another first row
+        (c, A, [5, 4, 3]),                     # another right-hand side
+        (c, A[:2], b[:2]),                     # the same program
+        (c, [*A, [1, 0]], [*b, 1]),            # two rows more
+        (c, A[:1], b[:1]),                     # a row fewer
+    ]
+    for args in wrong:
+        with pytest.raises(ValueError, match="^after: "):
+            solve_max_slack(*args, after=res)
+    # minimizing c.x is another program; its tableau is no start for this one
+    for other in (solve_min_general(c, A[:2], b[:2]), fields(res)):
+        with pytest.raises(ValueError, match="^after: "):
+            solve_max_slack(c, A, b, after=other)
+    assert fields(solve_max_slack(c, A, b, after=res)) == fields(solve_max_slack(c, A, b))
+    # a program with no rows has no last row to resume with
+    empty = solve_max_slack([-1], [], [])
+    with pytest.raises(ValueError, match="^after: "):
+        solve_max_slack([-1], [], [], after=empty)
+
+
+def test_one_after_extended_twice(resumes):
+    """A result resumed from is left as it was, so two different extensions
+    of one program, resumed from one result, both get the cold result,
+    also when each undoes pivots of the kept tableau."""
+    both_undone = 0
+    for c, A, b in grown_programs(5, 1000):
+        base = outcome(solve_max_slack, c, A[:-2], b[:-2])
+        if isinstance(base, type) or not A[:-2]:
+            continue
+        kept = fields(base)
+        resumes.clear()
+        for j in (-2, -1, -2):
+            program = c, [*A[:-2], A[j]], [*b[:-2], b[j]]
+            assert fields(solve_max_slack(*program, after=base)) == \
+                fields(solve_max_slack(*program))
+        assert fields(base) == kept
+        both_undone += all(K / 2 <= k < K for k, K in resumes)
+    assert both_undone > 10
+
+
 # --- corpus pivot totals -----------------------------------------------------
 
 def test_corpus_pivot_totals(corpus, corpus_values, monkeypatch):
@@ -212,6 +346,23 @@ def test_corpus_pivot_totals(corpus, corpus_values, monkeypatch):
         min_ratio_nonneg(fam)
     # 53 families leave a label uncovered and need no LP
     assert len(pivots) == 447 and sum(pivots) == 2164
+
+
+def test_corpus_pivots_made(corpus, monkeypatch):
+    """Each round of row generation resumes from the last, so of the 8,743
+    pivots on the corpus's Bland paths, 6,062 are made, undone ones
+    included."""
+    made = []
+    solve = ptakkit.game.solve_max_slack
+
+    def counted(c, A, b, *, after=None):
+        res = solve(c, A, b, after=after)
+        made.append(res.pivots_made)
+        return res
+
+    monkeypatch.setattr(ptakkit.game, "solve_max_slack", counted)
+    assert sum(delta_exact(fam).pivots for fam in corpus) == 8743
+    assert len(made) == 1864 and sum(made) == 6062
 
 
 def test_large_lp_families():
