@@ -4,13 +4,16 @@ Algorithm: alternating fictitious play with least-played tie-breaking.  Any
 probability weighting certifies a bound (its worst case is evaluated
 exactly), so the kernel keeps the best bound seen from (a) the running
 empirical averages at every iteration and (b) at doubling checkpoints, the
-averages snapped to denominators up to ``SNAP_QMAX`` by largest-remainder
-rounding.  Games on 0/1 matrices have simple rational equilibria, so a
-snapped average typically hits one exactly and the bracket collapses to zero
-width.  All bookkeeping is in integers (int64 arrays and Python ints); the
-returned bounds are exact integer fractions.  Floats carry only the
-checkpoint products, whose values are small integers held exactly, and the
-stopping test (with a safety margin; the caller re-checks exactly).
+averages snapped by largest-remainder rounding to denominators up to
+``SNAP_QMAX`` and, for a player that has played more strategies than that,
+to the number it has played.  Games on 0/1 matrices have simple rational
+equilibria, so a snapped average typically hits one exactly and the bracket
+collapses to zero width; a player that cycles through a wide support plays
+its strategies about equally often, and snaps to its uniform weighting only
+at that last denominator.  All bookkeeping is in integers (int64 arrays and
+Python ints); the returned bounds are exact integer fractions.  Floats carry
+only the checkpoint products, whose values are small integers held exactly,
+and the stopping test (with a safety margin; the caller re-checks exactly).
 
 The play loop keeps one tie key per strategy, ``pay * big - count`` for
 rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
@@ -61,13 +64,15 @@ from __future__ import annotations
 
 from itertools import compress
 
-# Largest snap denominator.  It also makes the float64 checkpoint product
-# exact: a row snapped to q has integer weights summing to q <= SNAP_QMAX, and
-# the payoffs are 0 or 1, so every product and every partial sum BLAS forms of
-# class weights times class pay sums, in whatever order or blocking and on
-# however many threads, is an integer in [0, SNAP_QMAX]; the prefix sums added
-# to it are integers no larger than the number of strategies.  All are far
-# below 2**53, and every rounding step is exact.
+# Largest snap denominator tried for every player; one that has played more
+# strategies than this also snaps to q = the number it has played.  The
+# float64 checkpoint product is exact: a row snapped to q has integer weights
+# summing to q, at most the number of strategies, and the payoffs are 0 or 1,
+# so every product and every partial sum BLAS forms of class weights times
+# class pay sums, in whatever order or blocking and on however many threads,
+# is an integer in [0, q]; the prefix sums added to it are integers no larger
+# than the number of strategies.  All are far below 2**53, and every rounding
+# step is exact.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
 _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
@@ -113,16 +118,19 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, oth
     if other_n is None:
         other_n = 1 if is_lower else 0
     sign = 1 if is_lower else -1  # a lower bound improves upwards
-    # the bounds' terms are at most 10**9 (MAX_PLAY_ITERS) and q <= 512; the
-    # floor division comes before the multiply, so no product passes 512 * 10**9
+    played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
+    # a wide support snaps to its uniform weighting only at q = len(played);
+    # the bounds' terms are at most 10**9 (MAX_PLAY_ITERS) and the floor
+    # division comes before the multiply, so int64 terms stay at most q * 10**9
     qs = np.arange(1, SNAP_QMAX + 1, dtype=np.int64)
+    if len(played) > SNAP_QMAX:
+        qs = np.append(qs, len(played))
     if is_lower:  # floor(other * q) must beat the best
         live = qs[other_n * qs // other_d * best_d > best_n * qs]
     else:  # and ceil(other * q) for an upper bound
         live = qs[-(-other_n * qs // other_d) * best_d < best_n * qs]
     if not len(live):
         return best_n, best_d
-    played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
     counts, pay = counts[played], pay[played]
     payoff = counts @ pay
     reply = payoff.argmin() if is_lower else payoff.argmax()

@@ -80,11 +80,18 @@ def test_snaps_match_fraction_reference_on_seeded_counts():
     assert all(seen.values()), seen
 
 
+def candidate_qs(counts):
+    """The q a checkpoint scans: 1..SNAP_QMAX, then the played-support size
+    when it is larger."""
+    support = int(np.count_nonzero(counts))
+    return list(range(1, accel.SNAP_QMAX + 1)) + [support] * (support > accel.SNAP_QMAX)
+
+
 def full_fold(counts, k, pay, is_lower, best_n, best_d):
-    """The unpruned fold: every q up to SNAP_QMAX, in increasing order, each
-    snap evaluated by an int64 matmul (the reference for the float64 one)."""
+    """The unpruned fold: every candidate q, in increasing order, each snap
+    evaluated by an int64 matmul (the reference for the float64 one)."""
     sign = 1 if is_lower else -1
-    qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
+    qs = np.array(candidate_qs(counts), dtype=np.int64)
     out = accel.snapped_counts(counts, k, qs) @ pay
     for q, num in zip(qs.tolist(), (out.min(axis=1) if is_lower else out.max(axis=1)).tolist()):
         if sign * (num * best_d - best_n * q) > 0:
@@ -135,7 +142,7 @@ def reply_discards(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
     reply = payoff.argmin() if is_lower else payoff.argmax()
     best, other = Fraction(best_n, best_d), Fraction(other_n, other_d)
     discarded = 0
-    for q in range(1, accel.SNAP_QMAX + 1):
+    for q in candidate_qs(counts):
         reach = math.floor(other * q) if is_lower else math.ceil(other * q)
         if sign * (Fraction(reach, q) - best) > 0:
             snap = accel.snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
@@ -164,6 +171,43 @@ def test_classes_tied_at_the_cut_snap_per_strategy(seed, monkeypatch):
             got = accel._snap_checkpoint(counts, k, pay, is_lower, *start)
             assert accel.SNAP_QMAX in ran
             assert got == full_fold(counts, k, pay, is_lower, *start)
+
+
+def check_support_snap_wins(counts, k, pay, is_lower, best_n, best_d, value):
+    support = int(np.count_nonzero(counts))
+    assert support > accel.SNAP_QMAX
+    want = full_fold(counts, k, pay, is_lower, best_n, best_d)
+    # the support-size q wins with the exact value, and the float64 product,
+    # pruned by the opposite bound (the value or a looser one) or not, agrees
+    assert want[1] == support and Fraction(*want) == value
+    assert accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d) == want
+    for other in (value, (value + (1 if is_lower else 0)) / 2):
+        got = accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d,
+                                     other.numerator, other.denominator)
+        assert got == want
+
+
+@pytest.mark.parametrize("n, k, is_lower", [(12, 7, True), (12, 5, False)])
+def test_near_uniform_counts_snap_to_their_support_size(n, k, is_lower):
+    # C(n,k)'s 792 sets as the row player, or as a synthetic column player:
+    # their uniform weighting certifies k/n, which no q <= SNAP_QMAX reaches
+    pay = incidence_matrix(cardinality_bound_family(n, k))
+    rng = np.random.default_rng(n * 100 + k)
+    counts = 10 + (rng.random(pay.shape[0]) < 0.5).astype(np.int64)
+    start = (0, 1) if is_lower else (1, 1)
+    check_support_snap_wins(counts, int(counts.sum()), pay, is_lower, *start, Fraction(k, n))
+
+
+def test_c12_7_row_player_snaps_to_its_support_size(monkeypatch):
+    # the state fp_bracket checkpoints at k = 8,192, where C(12,7) closes
+    M = incidence_matrix(cardinality_bound_family(12, 7))
+    calls = []
+    with monkeypatch.context() as patch:
+        real = accel._snap_checkpoint
+        patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
+        accel.fp_bracket(M, 10**6, 1e-6)
+    (state,) = [a[:6] for a in calls if a[1] == 8192 and a[3]]
+    check_support_snap_wins(*state, Fraction(7, 12))
 
 
 # (sets, labels, blocks of q for the row player): every q in one block, two
@@ -235,7 +279,10 @@ CARDINALITY_GOLDEN = {
     (11, 6, 10**6): ["6/11", "6/11", 4096, True],
     (11, 7, 10**6): ["7/11", "7/11", 2048, True],
     (11, 8, 10**6): ["8/11", "8/11", 1024, True],
-    (12, 7, 10**6): ["154726/265245", "7/12", 265245, True],
+    (12, 5, 10**6): ["5/12", "5/12", 8192, True],
+    (12, 6, 10**6): ["1/2", "1/2", 4096, True],
+    (12, 7, 10**6): ["7/12", "7/12", 8192, True],
+    (13, 7, 10**6): ["7/13", "7/13", 16384, True],
 }
 
 

@@ -55,7 +55,7 @@ def criterion(num, description):
     return deco
 
 
-@criterion(1, "exact k/n values for cardinality families, certified and bracketed")
+@criterion(1, "exact k/n values for cardinality families, certified and closed by the oracle")
 def test_criterion_1_exact_cardinality_values():
     for n in range(1, 13):
         for k in range(1, n + 1):
@@ -64,8 +64,7 @@ def test_criterion_1_exact_cardinality_values():
             assert res.delta == F(k, n), (n, k, res.delta)
             assert verify_certificate(fam, res), (n, k)
             fp = fictitious_play(fam, FP_ITERS, EPS)
-            assert fp.contains(F(k, n)), (n, k)
-            assert fp.converged and fp.upper - fp.lower <= EPS, (n, k)
+            assert fp.converged and fp.lower == fp.upper == F(k, n), (n, k)
 
 
 @criterion(2, "strong duality and tamper rejection on the 500-family corpus")
