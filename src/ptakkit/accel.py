@@ -39,15 +39,15 @@ closes, no ``q`` survives and the checkpoint returns at once.
 Strategies played equally often snap alike, so the survivors are rounded by
 count class, not by strategy: a cardinality game has 3-8 classes among
 hundreds of sets.  Each class gets its floor and remainder by one
-``divmod``, and one more when its remainder lies above the ``deficit``-th
-largest; a single class tied at that cut gives its spare +1s to its
-lowest-index members, whose pay rows are prefix-summed so that any leading
-run of them is one row difference.  A ``q`` with two or more classes tied
-at the cut and +1s to spare goes through ``snapped_counts``, the
-per-strategy rounding.  Before the product, a ``q`` is dropped unless its
-payoff against the opponent's best reply to the unsnapped counts (the least
-covered label for the row player, the heaviest set for the column player)
-is strictly past the best bound: the worst case is at most that payoff.
+``divmod``.  The ``deficit`` +1s go to the largest remainders, ties going
+to the smaller count, then to the lower index (the play loop's own rule:
+least played, then lowest index), so they fill whole classes in that
+order, and then a prefix of the next class; its members' pay rows are
+prefix-summed, so that any leading run of them is one row difference.
+Before the product, a ``q`` is dropped unless its payoff against the
+opponent's best reply to the unsnapped counts (the least covered label for
+the row player, the heaviest set for the column player) is strictly past
+the best bound: the worst case is at most that payoff.
 The ``q`` go in blocks bounded by entries, not by ``q``: a block holds as
 many ``q`` as keep its class arrays and its product within ``_SNAP_ELEMS``
 entries, and is evaluated by one float64 matmul of class weights by class
@@ -78,45 +78,22 @@ _CHECKPOINT_START = 128
 _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
 
 
-def snapped_counts(counts, k, qs):
-    """Round ``counts/k`` to denominator ``q`` for each ``q`` in ``qs``.
-
-    Row ``t`` holds largest-remainder weights summing to exactly ``qs[t]``:
-    floors first, then one more for the ``deficit`` largest remainders, ties
-    going to the lower index.
-    """
-    import numpy as np
-
-    snapped, rem = np.divmod(counts[None, :] * qs[:, None], k)
-    deficit = qs - snapped.sum(axis=1)
-    # the deficit-th largest remainder (remainders sum to deficit * k, so a
-    # deficit of 0 means they are all 0, and so is the cut)
-    rows = np.arange(len(qs))
-    cut = np.sort(rem, axis=1)[rows, counts.shape[0] - np.maximum(deficit, 1)][:, None]
-    above = rem > cut
-    tied = rem == cut
-    spare = (deficit - above.sum(axis=1))[:, None]  # tied strategies still owed +1
-    snapped += above | (tied & (np.cumsum(tied, axis=1) <= spare))
-    return snapped
-
-
-def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, other_d=1):
+def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
     """Fold the snapped strategies' exact worst cases into the best bound.
 
     ``pay`` maps the player's weights to the opponent's payoffs (``M`` for
-    the row player, ``M.T`` for the column player); each snap to ``q``
-    certifies ``min`` (lower) or ``max`` (upper) of them over ``q``.  That
-    fraction cannot pass ``other_n/other_d``, the opposite bound (by default
-    the trivial 1 or 0, as payoffs are 0/1), so a ``q`` is snapped only if
-    some ``num/q`` lies strictly past the best and not past the opposite
-    bound; no other ``q`` could replace the best.  Nor can a ``q`` whose
-    payoff against the opponent's best reply to the unsnapped counts is not
-    strictly past the best, as the worst case is at most that payoff.
+    the row player, ``M.T`` for the column player); each snap of the counts
+    to ``q`` (largest remainders first, ties to the smaller count, then to
+    the lower index) certifies ``min`` (lower) or ``max`` (upper) of them
+    over ``q``.  That fraction cannot pass ``other_n/other_d``, the opposite
+    bound, so a ``q`` is snapped only if some ``num/q`` lies strictly past
+    the best and not past the opposite bound; no other ``q`` could replace
+    the best.  Nor can a ``q`` whose payoff against the opponent's best
+    reply to the unsnapped counts is not strictly past the best, as the
+    worst case is at most that payoff.
     """
     import numpy as np
 
-    if other_n is None:
-        other_n = 1 if is_lower else 0
     sign = 1 if is_lower else -1  # a lower bound improves upwards
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
     # a wide support snaps to its uniform weighting only at q = len(played);
@@ -149,33 +126,26 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n=None, oth
         qs = live[b:b + block]
         snapped, rem = np.divmod(values[None, :] * qs[:, None], k)
         deficit = qs - snapped @ sizes
-        # the deficit-th largest remainder over strategies (0 if the deficit is
-        # 0): the class at the last sorted place that still has deficit
-        # strategies at or above it
-        order = np.argsort(rem, axis=1)
-        at_least = np.cumsum(sizes[order][:, ::-1], axis=1)[:, ::-1]
-        cut = np.take_along_axis(rem, order, axis=1)[
-            np.arange(len(qs)), (at_least >= np.maximum(deficit, 1)[:, None]).sum(axis=1) - 1]
-        above = rem > cut[:, None]
-        tied = rem == cut[:, None]
-        spare = deficit - above @ sizes  # tied strategies still owed +1
-        snapped += above
-        # the spare +1s go to the lowest-index tied strategies; within one
-        # class that is a prefix, across classes snapped_counts decides
-        mixed = (spare > 0) & (tied.sum(axis=1) > 1)
-        first = starts[tied.argmax(axis=1)]
-        extra = np.where(mixed, 0, spare)
+        # the deficit's +1s go to the largest remainders, ties to the smaller
+        # count (np.unique sorted the classes by count), then to the lower
+        # index: the first `part` classes in that order take +1 whole, and
+        # the +1s still owed go to the first `extra` members of the next one,
+        # from prefix row `first`.  A class is always left over: the
+        # remainders sum to deficit * k and each is below k, so deficit is
+        # less than len(counts)
+        order = np.argsort(-rem, axis=1, kind="stable")
+        part = (np.cumsum(sizes[order], axis=1) <= deficit[:, None]).sum(axis=1)
+        snapped += np.argsort(order, axis=1) < part[:, None]  # class rank < part
+        first = starts[order[np.arange(len(qs)), part]]
+        extra = qs - snapped @ sizes
         # the payoff against the reply bounds the worst case
         est = (snapped @ totals[:, reply] + prefix[first + extra, reply]
                - prefix[first, reply]).astype(np.int64)
-        keep = mixed | (sign * (est * best_d - best_n * qs) > 0)
+        keep = sign * (est * best_d - best_n * qs) > 0
         if not keep.any():
             continue
         qs, first, extra = qs[keep], first[keep], extra[keep]
         out = snapped[keep] @ totals + (prefix[first + extra] - prefix[first])
-        mixed = mixed[keep]
-        if mixed.any():
-            out[mixed] = snapped_counts(counts, k, qs[mixed]) @ pay
         nums = (out.min(axis=1) if is_lower else out.max(axis=1)).astype(np.int64)
         better = sign * (nums * best_d - best_n * qs) > 0
         for q, num in zip(qs[better].tolist(), nums[better].tolist()):

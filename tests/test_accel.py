@@ -19,14 +19,28 @@ def test_import_does_not_load_numpy():
     assert res.stdout.split() == ["False", "True"]
 
 
+# the opposite bound a game on a 0/1 matrix always has, for each player
+TRIVIAL = {True: (1, 1), False: (0, 1)}
+
+
 def reference_snap(counts, k, q):
     """Largest-remainder rounding of counts/k to denominator q, in Fractions:
-    floors, then one more for the largest remainders, lower index on ties."""
+    floors, then one more for the largest remainders, ties going to the
+    smaller count, then to the lower index."""
     exact = [Fraction(c * q, k) for c in counts]
     snapped = [math.floor(x) for x in exact]
-    order = sorted(range(len(counts)), key=lambda i: snapped[i] - exact[i])
+    order = sorted(range(len(counts)), key=lambda i: (snapped[i] - exact[i], counts[i], i))
     for i in order[:q - sum(snapped)]:
         snapped[i] += 1
+    return snapped
+
+
+def snapped_counts(counts, k, qs):
+    """The same rounding per strategy in int64, one row per q in ``qs``: the
+    reference for the kernel's rounding by count class."""
+    snapped, rem = np.divmod(counts[None, :] * qs[:, None], k)
+    for row, r, q in zip(snapped, rem, qs.tolist()):
+        row[np.lexsort((counts, -r))[:q - row.sum()]] += 1
     return snapped
 
 
@@ -40,7 +54,7 @@ def test_batched_snaps_match_fraction_reference(counts):
     counts = np.array(counts, dtype=np.int64)
     k = int(counts.sum())
     qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
-    snapped = accel.snapped_counts(counts, k, qs)
+    snapped = snapped_counts(counts, k, qs)
     deficits = 0
     for q, row in zip(qs.tolist(), snapped.tolist()):
         expected = reference_snap(counts.tolist(), k, q)
@@ -56,7 +70,7 @@ def test_checkpoint_folds_the_best_snap():
     k = int(counts.sum())
     best = max(Fraction(int((np.array(reference_snap(counts.tolist(), k, q)) @ M).min()), q)
                for q in range(1, accel.SNAP_QMAX + 1))
-    num, den = accel._snap_checkpoint(counts, k, M, True, 0, 1)
+    num, den = accel._snap_checkpoint(counts, k, M, True, 0, 1, *TRIVIAL[True])
     assert Fraction(num, den) == best
 
 
@@ -71,7 +85,7 @@ def test_snaps_match_fraction_reference_on_seeded_counts():
         k = int(counts.sum())
         qs = sorted({int(q) for q in rng.integers(1, accel.SNAP_QMAX + 1, size=4)}
                     | ({k} if k <= accel.SNAP_QMAX else set()))
-        snapped = accel.snapped_counts(counts, k, np.array(qs, dtype=np.int64))
+        snapped = snapped_counts(counts, k, np.array(qs, dtype=np.int64))
         for q, row in zip(qs, snapped.tolist()):
             assert row == reference_snap(counts.tolist(), k, q), (t, q)
             exact = all(c * q % k == 0 for c in counts.tolist())
@@ -92,7 +106,7 @@ def full_fold(counts, k, pay, is_lower, best_n, best_d):
     evaluated by an int64 matmul (the reference for the float64 one)."""
     sign = 1 if is_lower else -1
     qs = np.array(candidate_qs(counts), dtype=np.int64)
-    out = accel.snapped_counts(counts, k, qs) @ pay
+    out = snapped_counts(counts, k, qs) @ pay
     for q, num in zip(qs.tolist(), (out.min(axis=1) if is_lower else out.max(axis=1)).tolist()):
         if sign * (num * best_d - best_n * q) > 0:
             best_n, best_d = num, q
@@ -117,10 +131,8 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
                                              other.numerator, other.denominator)
                 assert got == full_fold(counts, k, pay, is_lower, *start)
             # a closed bracket leaves no q to snap
-            with monkeypatch.context() as patch:
-                patch.setattr(accel, "snapped_counts", None)
-                bound = delta.numerator, delta.denominator
-                assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
+            bound = delta.numerator, delta.denominator
+            assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
     # the states fp_bracket checkpoints, whose bounds let the opponent's
     # best reply discard q that the opposite bound keeps
     calls = []
@@ -145,32 +157,40 @@ def reply_discards(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
     for q in candidate_qs(counts):
         reach = math.floor(other * q) if is_lower else math.ceil(other * q)
         if sign * (Fraction(reach, q) - best) > 0:
-            snap = accel.snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
+            snap = snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
             discarded += sign * (Fraction(int(snap @ pay[:, reply]), q) - best) <= 0
     return discarded
 
 
+def classes_tied_at_the_cut(counts, k, q):
+    """How many count classes tie at the deficit-th largest remainder while
+    +1s are left for them (0 if none are left): the rounding then depends on
+    the tie rule across classes."""
+    played = counts[counts > 0]
+    rem = played * q % k
+    deficit = q - int((played * q // k).sum())
+    if not deficit:
+        return 0
+    cut = np.sort(rem)[len(played) - deficit]
+    spare = deficit - int((rem > cut).sum())
+    return len(np.unique(played[rem == cut])) if spare else 0
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_classes_tied_at_the_cut_snap_per_strategy(seed, monkeypatch):
+def test_classes_tied_at_the_cut_snap_per_strategy(seed):
     # counts of 1 + 8x out of k = 4096 all leave the remainder 512 at q = 512,
     # so every class ties at the cut with a deficit of one per 8 strategies
     rng = np.random.default_rng(seed)
     M = (rng.random((24, 16)) < 0.5).astype(np.int64)
     k = 4096
-    ran = []
-    with monkeypatch.context() as patch:
-        real = accel.snapped_counts
-        patch.setattr(accel, "snapped_counts",
-                      lambda c, k, qs: ran.extend(qs.tolist()) or real(c, k, qs))
-        for is_lower, pay in ((True, M), (False, M.T)):
-            m = pay.shape[0]
-            counts = 1 + 8 * rng.multinomial((k - m) // 8, [1 / m] * m)
-            assert len(set(counts.tolist())) > 1 and counts.sum() == k
-            start = (0, 1) if is_lower else (1, 1)
-            ran.clear()
-            got = accel._snap_checkpoint(counts, k, pay, is_lower, *start)
-            assert accel.SNAP_QMAX in ran
-            assert got == full_fold(counts, k, pay, is_lower, *start)
+    for is_lower, pay in ((True, M), (False, M.T)):
+        m = pay.shape[0]
+        counts = 1 + 8 * rng.multinomial((k - m) // 8, [1 / m] * m)
+        assert len(set(counts.tolist())) > 1 and counts.sum() == k
+        assert classes_tied_at_the_cut(counts, k, accel.SNAP_QMAX) > 1
+        start = (0, 1) if is_lower else (1, 1)
+        got = accel._snap_checkpoint(counts, k, pay, is_lower, *start, *TRIVIAL[is_lower])
+        assert got == full_fold(counts, k, pay, is_lower, *start)
 
 
 def check_support_snap_wins(counts, k, pay, is_lower, best_n, best_d, value):
@@ -180,7 +200,8 @@ def check_support_snap_wins(counts, k, pay, is_lower, best_n, best_d, value):
     # the support-size q wins with the exact value, and the float64 product,
     # pruned by the opposite bound (the value or a looser one) or not, agrees
     assert want[1] == support and Fraction(*want) == value
-    assert accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d) == want
+    assert accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d,
+                                  *TRIVIAL[is_lower]) == want
     for other in (value, (value + (1 if is_lower else 0)) / 2):
         got = accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d,
                                      other.numerator, other.denominator)
@@ -245,13 +266,13 @@ def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
         up = full_fold(col_counts, col_k, M.T, False, 1, 1)
         assert Fraction(*low) <= Fraction(*up)
         # trivial opposite bounds keep all 512 q; the other player's bound prunes
-        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1) == low
+        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1, *TRIVIAL[True]) == low
         assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1, *up) == low
-        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1) == up
+        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1, *TRIVIAL[False]) == up
         assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1, *low) == up
         # starting from a bound already reached folds nothing in
-        assert accel._snap_checkpoint(row_counts, row_k, M, True, *low) == low
-        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, *up) == up
+        assert accel._snap_checkpoint(row_counts, row_k, M, True, *low, *TRIVIAL[True]) == low
+        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, *up, *TRIVIAL[False]) == up
         last_q = max(last_q, low[1])
     assert last_q > (accel.SNAP_QMAX - 1) // block * block  # a q of the last block won
 

@@ -6,6 +6,7 @@ tolerances are pinned here and nowhere else.  The corpus is the seeded
 """
 
 import functools
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -209,14 +210,23 @@ def test_criterion_7_structural_identities(corpus, corpus_values):
         assert is_full_powerset(fam) == (res.delta == 1)
 
 
+# sha256 of the corpus's "lower upper iterations" lines, one per family, as
+# the play oracle returns them: a change to its rounding or its kernel that
+# moves any corpus bracket changes it
+ORACLE_CORPUS_DIGEST = "e010883547456812bf6c9b5febd8ba7668c2a50d7bfc1e838f0433f7233e95e2"
+
+
 @criterion(8, "play oracle brackets the exact value; width <= 1e-6 within 1e6 iters")
 def test_criterion_8_oracle_agreement(corpus, corpus_values):
+    lines = []
     for fam, res in zip(corpus, corpus_values):
         fp = fictitious_play(fam, FP_ITERS, EPS)
         assert fp.contains(res.delta), fam
         if fam.n <= 10:
             assert fp.converged, fam
             assert fp.upper - fp.lower <= EPS
+        lines.append(f"{fp.lower} {fp.upper} {fp.iterations}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ORACLE_CORPUS_DIGEST
 
 
 @criterion(9, "suite --seed 7 reports are byte-identical (timestamp excluded)")
