@@ -29,12 +29,14 @@ indexing the array.  The counts are the keys' low digits and are recovered
 only at checkpoints.  The float width test runs only when a bound moved.
 
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
-next checkpoint (or ``max_iters``).  A checkpoint snaps each player's counts
-only for the ``q`` that can still move that player's bound: a snapped lower
-bound ``num/q`` cannot exceed the current upper bound, so unless some
-``num/q`` lies strictly above the lower bound and at most the upper bound,
-``q`` is skipped (and symmetrically for the upper bound).  Once the bracket
-closes, no ``q`` survives and the checkpoint returns at once.
+next checkpoint (or ``max_iters``).  A checkpoint raises a lower bound, on
+``M`` for the row player and on ``-M.T`` for the column player, whose upper
+bound on ``M`` is minus its lower bound on ``-M.T``.  It snaps the counts
+only for the ``q`` that can still move that bound: a snapped lower bound
+``num/q`` cannot exceed the opposite bound, so unless some ``num/q`` lies
+strictly above the lower bound and at most the opposite bound, ``q`` is
+skipped.  Once the bracket closes, no ``q`` survives and the checkpoint
+returns at once.
 
 Strategies played equally often snap alike, so the survivors are rounded by
 count class, not by strategy: a cardinality game has 3-8 classes among
@@ -45,9 +47,8 @@ least played, then lowest index), so they fill whole classes in that
 order, and then a prefix of the next class; its members' pay rows are
 prefix-summed, so that any leading run of them is one row difference.
 Before the product, a ``q`` is dropped unless its payoff against the
-opponent's best reply to the unsnapped counts (the least covered label for
-the row player, the heaviest set for the column player) is strictly past
-the best bound: the worst case is at most that payoff.
+opponent's best reply to the unsnapped counts is strictly above the best
+bound: the worst case is at most that payoff.
 The ``q`` go in blocks bounded by entries, not by ``q``: a block holds as
 many ``q`` as keep its class arrays and its product within ``_SNAP_ELEMS``
 entries, and is evaluated by one float64 matmul of class weights by class
@@ -67,34 +68,33 @@ from itertools import compress
 # Largest snap denominator tried for every player; one that has played more
 # strategies than this also snaps to q = the number it has played.  The
 # float64 checkpoint product is exact: a row snapped to q has integer weights
-# summing to q, at most the number of strategies, and the payoffs are 0 or 1,
-# so every product and every partial sum BLAS forms of class weights times
-# class pay sums, in whatever order or blocking and on however many threads,
-# is an integer in [0, q]; the prefix sums added to it are integers no larger
-# than the number of strategies.  All are far below 2**53, and every rounding
-# step is exact.
+# summing to q, at most the number of strategies, and the payoffs are 0 or 1
+# (on M) or 0 or -1 (on -M.T), so every product and every partial sum BLAS
+# forms of class weights times class pay sums, in whatever order or blocking
+# and on however many threads, is an integer in [-q, q]; the prefix sums added
+# to it are integers no larger in size than the number of strategies.  All
+# are far below 2**53, and every rounding step is exact.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
 _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
 
 
-def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
-    """Fold the snapped strategies' exact worst cases into the best bound.
+def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
+    """Fold the snapped strategies' exact worst cases into the lower bound.
 
     ``pay`` maps the player's weights to the opponent's payoffs (``M`` for
-    the row player, ``M.T`` for the column player); each snap of the counts
-    to ``q`` (largest remainders first, ties to the smaller count, then to
-    the lower index) certifies ``min`` (lower) or ``max`` (upper) of them
-    over ``q``.  That fraction cannot pass ``other_n/other_d``, the opposite
-    bound, so a ``q`` is snapped only if some ``num/q`` lies strictly past
-    the best and not past the opposite bound; no other ``q`` could replace
-    the best.  Nor can a ``q`` whose payoff against the opponent's best
-    reply to the unsnapped counts is not strictly past the best, as the
-    worst case is at most that payoff.
+    the row player, ``-M.T`` for the column player, whose upper bound is
+    minus this lower bound); each snap of the counts to ``q`` (largest
+    remainders first, ties to the smaller count, then to the lower index)
+    certifies the ``min`` of them over ``q``.  That fraction cannot exceed
+    ``other_n/other_d``, the opposite bound, so a ``q`` is snapped only if
+    some ``num/q`` lies strictly above the best and at most the opposite
+    bound; no other ``q`` could replace the best.  Nor can a ``q`` whose
+    payoff against the opponent's best reply to the unsnapped counts is not
+    strictly above the best, as the worst case is at most that payoff.
     """
     import numpy as np
 
-    sign = 1 if is_lower else -1  # a lower bound improves upwards
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
     # a wide support snaps to its uniform weighting only at q = len(played);
     # the bounds' terms are at most 10**9 (MAX_PLAY_ITERS) and the floor
@@ -102,15 +102,11 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d)
     qs = np.arange(1, SNAP_QMAX + 1, dtype=np.int64)
     if len(played) > SNAP_QMAX:
         qs = np.append(qs, len(played))
-    if is_lower:  # floor(other * q) must beat the best
-        live = qs[other_n * qs // other_d * best_d > best_n * qs]
-    else:  # and ceil(other * q) for an upper bound
-        live = qs[-(-other_n * qs // other_d) * best_d < best_n * qs]
+    live = qs[other_n * qs // other_d * best_d > best_n * qs]  # floor(other * q) > best
     if not len(live):
         return best_n, best_d
     counts, pay = counts[played], pay[played]
-    payoff = counts @ pay
-    reply = payoff.argmin() if is_lower else payoff.argmax()
+    reply = (counts @ pay).argmin()
     pay = pay.astype(np.float64)
     # strategies with equal counts snap alike, so round each class once; its
     # members, in index order, have their pay rows prefix-summed, so the
@@ -141,15 +137,15 @@ def _snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d)
         # the payoff against the reply bounds the worst case
         est = (snapped @ totals[:, reply] + prefix[first + extra, reply]
                - prefix[first, reply]).astype(np.int64)
-        keep = sign * (est * best_d - best_n * qs) > 0
+        keep = est * best_d > best_n * qs
         if not keep.any():
             continue
         qs, first, extra = qs[keep], first[keep], extra[keep]
         out = snapped[keep] @ totals + (prefix[first + extra] - prefix[first])
-        nums = (out.min(axis=1) if is_lower else out.max(axis=1)).astype(np.int64)
-        better = sign * (nums * best_d - best_n * qs) > 0
+        nums = out.min(axis=1).astype(np.int64)
+        better = nums * best_d > best_n * qs
         for q, num in zip(qs[better].tolist(), nums[better].tolist()):
-            if sign * (num * best_d - best_n * q) > 0:
+            if num * best_d > best_n * q:
                 best_n, best_d = num, q
     return best_n, best_d
 
@@ -170,6 +166,7 @@ def fp_bracket(M, max_iters, eps):
     row_key = np.zeros(M.shape[0], np.int64)  # row_pay * big - row_cnt
     row_view, row_argmax, add = memoryview(row_key), row_key.argmax, np.add
     col_key = [0] * M.shape[1]  # col_pay * big + col_cnt
+    neg_T = -M.T  # the column player's upper bound is minus its lower bound here
     low_n, low_d, up_n, up_d = 0, 1, 1, 1
     margin = eps * (1.0 - 1e-9)
     next_cp = _CHECKPOINT_START
@@ -198,10 +195,10 @@ def fp_bracket(M, max_iters, eps):
             if moved and up_n / up_d - low_n / low_d <= margin:
                 return low_n, low_d, up_n, up_d, k
         next_cp *= 2
-        low_n, low_d = _snap_checkpoint(-row_key % big, k, M, True, low_n, low_d,
-                                        up_n, up_d)
-        up_n, up_d = _snap_checkpoint(np.array(col_key, np.int64) % big, k, M.T, False,
-                                      up_n, up_d, low_n, low_d)
+        low_n, low_d = _snap_checkpoint(-row_key % big, k, M, low_n, low_d, up_n, up_d)
+        up_n, up_d = _snap_checkpoint(np.array(col_key, np.int64) % big, k, neg_T,
+                                      -up_n, up_d, -low_n, low_d)
+        up_n = -up_n
         if up_n / up_d - low_n / low_d <= margin:
             break
     return low_n, low_d, up_n, up_d, k

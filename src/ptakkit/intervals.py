@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .families import HereditaryFamily, _json_int, hereditary_closure, membership
+from .families import HereditaryFamily, _json_int, hereditary_closure, maximal_cliques
 from .rationals import ONE, ZERO, as_fraction, format_rational
 
 
@@ -179,31 +179,21 @@ def measure_lower_bound(sys: IntervalSystem) -> MeasureBoundReport:
 
 
 def helly_check(sys: IntervalSystem) -> bool:
-    """Exhaustive one-dimensional Helly check for single-interval systems:
-    a label set is a member iff its pairs intersect pairwise.  Must hold for
-    every single-interval system; multi-piece (or empty) sets are rejected as
-    not applicable."""
+    """One-dimensional Helly check for single-interval systems: a label set
+    is a member iff its intervals meet pairwise, so the traced family is the
+    family of cliques of the intersection graph, and the check compares the
+    sweep's family with the graph's maximal cliques.  Must hold for every
+    single-interval system; multi-piece (or empty) sets are rejected as not
+    applicable."""
     for iset in sys.sets:
         if len(iset.pieces) != 1:
             raise NotApplicableError(
                 "helly check applies only to systems of single closed intervals"
             )
-    n = sys.n
-    if n > 16:
-        raise ValueError("exhaustive check limited to n <= 16")
     pieces = [iset.pieces[0] for iset in sys.sets]
-
-    def pair_ok(i: int, j: int) -> bool:
-        return max(pieces[i][0], pieces[j][0]) <= min(pieces[i][1], pieces[j][1])
-
-    fam = trace_family(sys)
-    for mask in range(1 << n):
-        labels = [s for s in range(n) if (mask >> s) & 1]
-        member = membership(fam, labels)
-        pairwise = all(pair_ok(i, j) for a, i in enumerate(labels) for j in labels[a + 1:])
-        if member != pairwise:
-            return False
-    return True
+    meets = [(i, j) for j in range(sys.n) for i in range(j)
+             if max(pieces[i][0], pieces[j][0]) <= min(pieces[i][1], pieces[j][1])]
+    return trace_family(sys) == maximal_cliques(sys.n, meets)
 
 
 def random_system(seed: int, n: int, pieces_per_set: int,

@@ -43,10 +43,11 @@ a row changes only by the pivot rows above it, so the program with one more
 row follows the same path until the step where the new row first strictly
 wins the ratio test (on a tie the older row wins, since the new slack has
 the highest label).  ``solve_max_slack(..., after=result)`` eliminates only
-the new row along the kept path to find that step, reaches the tableau
-there from the nearer end -- undoing the path's last pivots on a copy of
-the final tableau, or pivoting again from the slack basis -- and goes on by
-Bland's rule.  Every pivot, x, dual and count is the cold solve's.
+the new row along the kept path to find that step.  If the step lies in
+the path's second half, it undoes the pivots past it on a copy of the final
+tableau and goes on by Bland's rule; otherwise it solves cold, which makes
+fewer pivots to reach it.  Every pivot, x, dual and count is the cold
+solve's.
 """
 
 from __future__ import annotations
@@ -160,19 +161,16 @@ def _bland_min(rows, z, basis, nonbasic, d, path) -> int:
         insort(order, pc, key=label_of)
 
 
-def _slack_start(inputs, cost, n):
-    """The tableau over the all-slack basis: ``(rows, z, basis, nonbasic, d)``."""
-    return [*inputs], [*cost], list(range(n, n + len(inputs))), list(range(n)), 1
-
-
 def _resume(after, new, n):
     """The tableau of ``after``'s program plus the row ``new``, at the step
-    where Bland's path first leaves ``after``'s.
+    where Bland's path first leaves ``after``'s, reached by undoing the
+    pivots past that step; None if the step lies in the path's first half,
+    as a cold solve then makes fewer pivots to reach it.
 
     Returns ``(rows, z, basis, nonbasic, d, path, made)``, with the path up
-    to that step and the number of pivots made to reach it.
+    to that step and the number of pivots undone to reach it.
     """
-    inputs, cost, rows, z, basis, nonbasic, path = after._kept
+    _, _, rows, z, basis, nonbasic, path = after._kept
     k = len(path)
     for step, (pr, pc, d, prow) in enumerate(path):
         a, p = new[pc], prow[pc]
@@ -180,17 +178,14 @@ def _resume(after, new, n):
             k = step
             break
         new = _eliminate(new, prow, p, d, pc)
-    if 2 * k < len(path):  # nearer the slack basis: make the first k pivots again
-        rows, z, basis, nonbasic, d = _slack_start(inputs, cost, n)
-        steps = path[:k]
-    else:  # nearer the end: undo the pivots past step k
-        rows, z, basis, nonbasic, d = [*rows], [*z], [*basis], [*nonbasic], after.den
-        steps = path[k:][::-1]
-    for pr, pc, _, _ in steps:
+    if 2 * k < len(path):
+        return None
+    rows, z, basis, nonbasic, d = [*rows], [*z], [*basis], [*nonbasic], after.den
+    for pr, pc, _, _ in reversed(path[k:]):
         d = _pivot(rows, z, basis, nonbasic, d, pr, pc)[pc]
     rows.append(new)
     basis.append(n + len(rows) - 1)
-    return rows, z, basis, nonbasic, d, path[:k], len(steps)
+    return rows, z, basis, nonbasic, d, path[:k], len(path) - k
 
 
 def _simplex(c, A, b, maximize, after=None):
@@ -215,14 +210,15 @@ def _simplex(c, A, b, maximize, after=None):
     if not {int}.issuperset(map(type, c)):
         raise TypeError("c: entries must be ints")
     cost = [*(-v for v in c), 0] if maximize else [*c, 0]  # priced out over the slack basis
-    if after is None:
-        rows, z, basis, nonbasic, d = _slack_start(inputs, cost, n)
-        path, made = [], 0
-    elif not (isinstance(after, LPResult) and inputs and after._kept[1] == cost
-              and after._kept[0] == inputs[:-1]):
+    if after is not None and not (isinstance(after, LPResult) and inputs and
+                                  after._kept[1] == cost and after._kept[0] == inputs[:-1]):
         raise ValueError("after: not the result of this program without its last row")
-    else:
-        rows, z, basis, nonbasic, d, path, made = _resume(after, inputs[-1], n)
+    resumed = after is not None and _resume(after, inputs[-1], n)
+    if resumed:
+        rows, z, basis, nonbasic, d, path, made = resumed
+    else:  # the all-slack basis
+        rows, z, d, path, made = [*inputs], [*cost], 1, [], 0
+        basis, nonbasic = list(range(n, n + len(inputs))), list(range(n))
     start = len(path)
     d = _bland_min(rows, z, basis, nonbasic, d, path)
     x_num = [0] * n
@@ -252,10 +248,12 @@ def solve_max_slack(c: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[in
 
     ``after``, if given, is the result of this call on the same ``c`` and
     the rows of ``A`` and ``b`` without the last; anything else raises
-    ValueError.  The solve then resumes Bland's path from it and returns
+    ValueError.  The solve then resumes Bland's path by undoing the pivots
+    past the step where the new row first wins the ratio test, or solves
+    cold if that step lies in the path's first half.  Either way it returns
     the cold solve's result, ``pivots`` included, while ``pivots_made``
-    counts only the pivots this call made.  ``after`` is left unchanged,
-    so it can be extended more than once.
+    counts only the pivots this call made.  ``after`` is left unchanged, so
+    it can be extended more than once.
     """
     return _simplex(c, A, b, True, after)
 

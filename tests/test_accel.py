@@ -19,8 +19,12 @@ def test_import_does_not_load_numpy():
     assert res.stdout.split() == ["False", "True"]
 
 
-# the opposite bound a game on a 0/1 matrix always has, for each player
-TRIVIAL = {True: (1, 1), False: (0, 1)}
+def games(M):
+    """The two games a checkpoint raises a lower bound of, each with the
+    lower bound it starts from and the opposite bound it always has: the row
+    player's on ``M`` and the column player's on ``-M.T``, whose lower bound
+    is minus the column player's upper bound on ``M``."""
+    return [(M, (0, 1), (1, 1)), (-M.T, (-1, 1), (0, 1))]
 
 
 def reference_snap(counts, k, q):
@@ -70,8 +74,23 @@ def test_checkpoint_folds_the_best_snap():
     k = int(counts.sum())
     best = max(Fraction(int((np.array(reference_snap(counts.tolist(), k, q)) @ M).min()), q)
                for q in range(1, accel.SNAP_QMAX + 1))
-    num, den = accel._snap_checkpoint(counts, k, M, True, 0, 1, *TRIVIAL[True])
+    num, den = accel._snap_checkpoint(counts, k, M, 0, 1, 1, 1)
     assert Fraction(num, den) == best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_checkpoint_matches_max_form_reference(seed):
+    # the column player's upper bound on M, folded without negating: the
+    # least over q of the heaviest set under the snapped weights, over q
+    rng = np.random.default_rng(seed)
+    M = (rng.random((9, 7)) < 0.5).astype(np.int64)
+    counts = rng.integers(0, 40, size=7).astype(np.int64)
+    counts[seed % 7] += 1
+    k = int(counts.sum())
+    upper = min(Fraction(int((M @ np.array(reference_snap(counts.tolist(), k, q))).max()), q)
+                for q in range(1, accel.SNAP_QMAX + 1))
+    num, den = accel._snap_checkpoint(counts, k, -M.T, -1, 1, 0, 1)
+    assert Fraction(-num, den) == upper < 1
 
 
 def test_snaps_match_fraction_reference_on_seeded_counts():
@@ -101,14 +120,13 @@ def candidate_qs(counts):
     return list(range(1, accel.SNAP_QMAX + 1)) + [support] * (support > accel.SNAP_QMAX)
 
 
-def full_fold(counts, k, pay, is_lower, best_n, best_d):
+def full_fold(counts, k, pay, best_n, best_d):
     """The unpruned fold: every candidate q, in increasing order, each snap
     evaluated by an int64 matmul (the reference for the float64 one)."""
-    sign = 1 if is_lower else -1
     qs = np.array(candidate_qs(counts), dtype=np.int64)
     out = snapped_counts(counts, k, qs) @ pay
-    for q, num in zip(qs.tolist(), (out.min(axis=1) if is_lower else out.max(axis=1)).tolist()):
-        if sign * (num * best_d - best_n * q) > 0:
+    for q, num in zip(qs.tolist(), out.min(axis=1).tolist()):
+        if num * best_d > best_n * q:
             best_n, best_d = num, q
     return best_n, best_d
 
@@ -120,19 +138,18 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
     delta = delta_exact(fam).delta
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        for is_lower, pay in ((True, M), (False, M.T)):
+        for (pay, start, trivial), value in zip(games(M), (delta, -delta)):
             counts = rng.integers(0, 30, size=pay.shape[0]).astype(np.int64)
             counts[0] += 1
             k = int(counts.sum())
-            start = (0, 1) if is_lower else (1, 1)
             # opposite bounds: the value itself, and a looser valid one
-            for other in (delta, (delta + (1 if is_lower else 0)) / 2):
-                got = accel._snap_checkpoint(counts, k, pay, is_lower, *start,
+            for other in (value, (value + Fraction(*trivial)) / 2):
+                got = accel._snap_checkpoint(counts, k, pay, *start,
                                              other.numerator, other.denominator)
-                assert got == full_fold(counts, k, pay, is_lower, *start)
+                assert got == full_fold(counts, k, pay, *start)
             # a closed bracket leaves no q to snap
-            bound = delta.numerator, delta.denominator
-            assert accel._snap_checkpoint(counts, k, pay, is_lower, *bound, *bound) == bound
+            bound = value.numerator, value.denominator
+            assert accel._snap_checkpoint(counts, k, pay, *bound, *bound) == bound
     # the states fp_bracket checkpoints, whose bounds let the opponent's
     # best reply discard q that the opposite bound keeps
     calls = []
@@ -140,25 +157,22 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
         real = accel._snap_checkpoint
         patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
         accel.fp_bracket(M, 10**4, 1e-6)
-    for counts, k, pay, is_lower, best_n, best_d, other_n, other_d in calls:
-        got = accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d, other_n, other_d)
-        assert got == full_fold(counts, k, pay, is_lower, best_n, best_d)
+    for counts, k, pay, best_n, best_d, other_n, other_d in calls:
+        got = accel._snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d)
+        assert got == full_fold(counts, k, pay, best_n, best_d)
     assert not calls or max(reply_discards(*call) for call in calls) > 0
 
 
-def reply_discards(counts, k, pay, is_lower, best_n, best_d, other_n, other_d):
+def reply_discards(counts, k, pay, best_n, best_d, other_n, other_d):
     """How many q the opposite bound keeps but the payoff against the
     opponent's best reply to the unsnapped counts rules out."""
-    sign = 1 if is_lower else -1
-    payoff = counts @ pay
-    reply = payoff.argmin() if is_lower else payoff.argmax()
+    reply = (counts @ pay).argmin()
     best, other = Fraction(best_n, best_d), Fraction(other_n, other_d)
     discarded = 0
     for q in candidate_qs(counts):
-        reach = math.floor(other * q) if is_lower else math.ceil(other * q)
-        if sign * (Fraction(reach, q) - best) > 0:
+        if Fraction(math.floor(other * q), q) > best:
             snap = snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
-            discarded += sign * (Fraction(int(snap @ pay[:, reply]), q) - best) <= 0
+            discarded += Fraction(int(snap @ pay[:, reply]), q) <= best
     return discarded
 
 
@@ -183,40 +197,40 @@ def test_classes_tied_at_the_cut_snap_per_strategy(seed):
     rng = np.random.default_rng(seed)
     M = (rng.random((24, 16)) < 0.5).astype(np.int64)
     k = 4096
-    for is_lower, pay in ((True, M), (False, M.T)):
+    for pay, start, trivial in games(M):
         m = pay.shape[0]
         counts = 1 + 8 * rng.multinomial((k - m) // 8, [1 / m] * m)
         assert len(set(counts.tolist())) > 1 and counts.sum() == k
         assert classes_tied_at_the_cut(counts, k, accel.SNAP_QMAX) > 1
-        start = (0, 1) if is_lower else (1, 1)
-        got = accel._snap_checkpoint(counts, k, pay, is_lower, *start, *TRIVIAL[is_lower])
-        assert got == full_fold(counts, k, pay, is_lower, *start)
+        got = accel._snap_checkpoint(counts, k, pay, *start, *trivial)
+        assert got == full_fold(counts, k, pay, *start)
 
 
-def check_support_snap_wins(counts, k, pay, is_lower, best_n, best_d, value):
+def check_support_snap_wins(counts, k, pay, start, trivial, value):
     support = int(np.count_nonzero(counts))
     assert support > accel.SNAP_QMAX
-    want = full_fold(counts, k, pay, is_lower, best_n, best_d)
+    want = full_fold(counts, k, pay, *start)
     # the support-size q wins with the exact value, and the float64 product,
     # pruned by the opposite bound (the value or a looser one) or not, agrees
     assert want[1] == support and Fraction(*want) == value
-    assert accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d,
-                                  *TRIVIAL[is_lower]) == want
-    for other in (value, (value + (1 if is_lower else 0)) / 2):
-        got = accel._snap_checkpoint(counts, k, pay, is_lower, best_n, best_d,
+    assert accel._snap_checkpoint(counts, k, pay, *start, *trivial) == want
+    for other in (value, (value + Fraction(*trivial)) / 2):
+        got = accel._snap_checkpoint(counts, k, pay, *start,
                                      other.numerator, other.denominator)
         assert got == want
 
 
-@pytest.mark.parametrize("n, k, is_lower", [(12, 7, True), (12, 5, False)])
-def test_near_uniform_counts_snap_to_their_support_size(n, k, is_lower):
-    # C(n,k)'s 792 sets as the row player, or as a synthetic column player:
-    # their uniform weighting certifies k/n, which no q <= SNAP_QMAX reaches
-    pay = incidence_matrix(cardinality_bound_family(n, k))
+@pytest.mark.parametrize("n, k, row", [(12, 7, True), (12, 5, False)])
+def test_near_uniform_counts_snap_to_their_support_size(n, k, row):
+    # C(n,k)'s 792 sets as the row player of M, or as a synthetic column
+    # player, of the game -M.T with M.T these sets: their uniform weighting
+    # certifies k/n (or -k/n), which no q <= SNAP_QMAX reaches
+    sets = incidence_matrix(cardinality_bound_family(n, k))
+    pay, start, trivial = games(sets)[0] if row else games(sets.T)[1]
     rng = np.random.default_rng(n * 100 + k)
     counts = 10 + (rng.random(pay.shape[0]) < 0.5).astype(np.int64)
-    start = (0, 1) if is_lower else (1, 1)
-    check_support_snap_wins(counts, int(counts.sum()), pay, is_lower, *start, Fraction(k, n))
+    value = Fraction(k if row else -k, n)
+    check_support_snap_wins(counts, int(counts.sum()), pay, start, trivial, value)
 
 
 def test_c12_7_row_player_snaps_to_its_support_size(monkeypatch):
@@ -227,8 +241,9 @@ def test_c12_7_row_player_snaps_to_its_support_size(monkeypatch):
         real = accel._snap_checkpoint
         patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
         accel.fp_bracket(M, 10**6, 1e-6)
-    (state,) = [a[:6] for a in calls if a[1] == 8192 and a[3]]
-    check_support_snap_wins(*state, Fraction(7, 12))
+    (state,) = [a[:5] for a in calls if a[1] == 8192 and a[2] is M]
+    counts, k, pay, best_n, best_d = state
+    check_support_snap_wins(counts, k, pay, (best_n, best_d), (1, 1), Fraction(7, 12))
 
 
 # (sets, labels, blocks of q for the row player): every q in one block, two
@@ -262,17 +277,19 @@ def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
         row_counts[0] += 1
         col_counts[0] += 1
         row_k, col_k = int(row_counts.sum()), int(col_counts.sum())
-        low = full_fold(row_counts, row_k, M, True, 0, 1)
-        up = full_fold(col_counts, col_k, M.T, False, 1, 1)
-        assert Fraction(*low) <= Fraction(*up)
+        (_, row_start, row_trivial), (neg_T, col_start, col_trivial) = games(M)
+        low = full_fold(row_counts, row_k, M, *row_start)
+        # minus the column player's upper bound
+        up = full_fold(col_counts, col_k, neg_T, *col_start)
+        assert Fraction(*low) <= -Fraction(*up)
         # trivial opposite bounds keep all 512 q; the other player's bound prunes
-        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1, *TRIVIAL[True]) == low
-        assert accel._snap_checkpoint(row_counts, row_k, M, True, 0, 1, *up) == low
-        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1, *TRIVIAL[False]) == up
-        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, 1, 1, *low) == up
+        assert accel._snap_checkpoint(row_counts, row_k, M, *row_start, *row_trivial) == low
+        assert accel._snap_checkpoint(row_counts, row_k, M, *row_start, -up[0], up[1]) == low
+        assert accel._snap_checkpoint(col_counts, col_k, neg_T, *col_start, *col_trivial) == up
+        assert accel._snap_checkpoint(col_counts, col_k, neg_T, *col_start, -low[0], low[1]) == up
         # starting from a bound already reached folds nothing in
-        assert accel._snap_checkpoint(row_counts, row_k, M, True, *low, *TRIVIAL[True]) == low
-        assert accel._snap_checkpoint(col_counts, col_k, M.T, False, *up, *TRIVIAL[False]) == up
+        assert accel._snap_checkpoint(row_counts, row_k, M, *low, *row_trivial) == low
+        assert accel._snap_checkpoint(col_counts, col_k, neg_T, *up, *col_trivial) == up
         last_q = max(last_q, low[1])
     assert last_q > (accel.SNAP_QMAX - 1) // block * block  # a q of the last block won
 

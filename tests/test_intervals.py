@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from ptakkit import intervals
 from ptakkit.families import hereditary_closure, is_full_powerset, membership
 from ptakkit.intervals import (
     IntervalSet,
@@ -274,6 +275,30 @@ def test_helly_triple_pairwise_forces_global():
 
 def test_helly_single_label():
     assert helly_check(system_of([(F(1, 4), F(3, 4))]))
+
+
+def test_helly_fails_when_the_sweep_misses_a_member(monkeypatch):
+    # a sweep that samples only every third point loses the members that
+    # meet elsewhere, and the check must then see the mismatch
+    sysm = system_of([(0, F(1, 4))], [(F(1, 8), F(1, 2))], [(F(3, 8), F(3, 4))],
+                     [(F(5, 8), 1)])
+    assert helly_check(sysm)
+
+    def sparse_sweep(sysm):
+        points = sorted({x for iset in sysm.sets for x in iset.pieces[0]})[::3]
+        return hereditary_closure([[s for s, iset in enumerate(sysm.sets)
+                                    if iset.pieces[0][0] <= x <= iset.pieces[0][1]]
+                                   for x in points], sysm.n)
+
+    monkeypatch.setattr(intervals, "trace_family", sparse_sweep)
+    assert not helly_check(sysm)
+
+
+def test_helly_forty_single_intervals():
+    # n = 40 lies far past any enumeration of subsets
+    sysm = random_system(40, 40, 1, F(1, 16))
+    assert sysm.n == 40 and len(trace_family(sysm).maximal) > 1
+    assert helly_check(sysm)
 
 
 def test_helly_not_applicable_multi_piece():

@@ -215,16 +215,25 @@ def fields(res):
     return res.x_num, res.den, res.obj_num, res.dual_num, res.pivots
 
 
+def shared_steps(res, after):
+    """How many pivots, from the slack basis on, the paths of ``res`` and
+    ``after`` make at the same places."""
+    pairs = zip(res._kept[6], after._kept[6])
+    return next((i for i, (a, b) in enumerate(pairs) if a[:2] != b[:2]),
+                min(res.pivots, after.pivots))
+
+
 @pytest.fixture()
 def resumes(monkeypatch):
-    """``(k, K)`` for each resumed solve: its path leaves the kept path of
-    ``K`` pivots at step ``k``."""
+    """``(k, K)`` for each solve resumed by undoing: its path leaves the
+    kept path of ``K`` pivots at step ``k``; ``(None, K)`` for each solve
+    that fell back to a cold one."""
     seen = []
     resume = ptakkit.lp._resume
 
     def recording(after, new, n):
         out = resume(after, new, n)
-        seen.append((len(out[5]), after.pivots))
+        seen.append((out and len(out[5]), after.pivots))
         return out
 
     monkeypatch.setattr(ptakkit.lp, "_resume", recording)
@@ -233,8 +242,10 @@ def resumes(monkeypatch):
 
 def test_resumed_solve_is_the_cold_solve(resumes):
     """Programs grown one row at a time, each solve resumed from the last:
-    every result is the cold solve's, pivot count included, and both ends
-    of the path are used to reach the step where the new row first wins."""
+    every result is the cold solve's, pivot count included.  The step where
+    the new row first wins is reached by undoing pivots when it lies in the
+    path's second half, and by a cold solve otherwise."""
+    steps = []
     for c, A, b in grown_programs(3, 300):
         res = None
         for j in range(1, len(A) + 1):
@@ -249,15 +260,18 @@ def test_resumed_solve_is_the_cold_solve(resumes):
             assert cold.pivots_made == cold.pivots
             if res is not None:
                 # step k is reached from the nearer end of the kept path
-                k, K = resumes[-1]
-                assert k <= warm.pivots and K == res.pivots
+                undone_to, K = resumes[-1]
+                k = shared_steps(warm, res)
+                assert K == res.pivots and undone_to in (None, k)
+                assert (undone_to is None) == (2 * k < K)
                 assert warm.pivots_made == min(k, K - k) + warm.pivots - k
+                steps.append((k, K))
             res = warm
-    assert len(resumes) > 500
-    # pivots made again from the slack basis, pivots undone, and neither
-    assert any(0 < 2 * k < K for k, K in resumes)
-    assert any(K / 2 <= k < K for k, K in resumes)
-    assert any(k == K for k, K in resumes)
+    assert len(steps) > 500
+    # a cold solve that makes pivots of the kept path, pivots undone, and neither
+    assert any(0 < 2 * k < K for k, K in steps)
+    assert any(K / 2 <= k < K for k, K in steps)
+    assert any(k == K for k, K in steps)
 
 
 def test_pivoting_again_on_the_same_entry_undoes_a_pivot():
@@ -326,7 +340,7 @@ def test_one_after_extended_twice(resumes):
             assert fields(solve_max_slack(*program, after=base)) == \
                 fields(solve_max_slack(*program))
         assert fields(base) == kept
-        both_undone += all(K / 2 <= k < K for k, K in resumes)
+        both_undone += all(k is not None and K / 2 <= k < K for k, K in resumes)
     assert both_undone > 10
 
 
