@@ -142,52 +142,51 @@ def _label_columns(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> dic
             for label, bit in zip(used, bits)}
 
 
-def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> dict[int, int]:
-    """For each set lying inside another, the index of one set containing it.
+def _containers(sets: Sequence[tuple[int, ...]], masks: Sequence[int]) -> set[int]:
+    """The indices of the sets lying inside another.
 
     The sets must be distinct tuples of nonnegative labels, and ``masks``
     their masks.  Distinct sets nest only in sets with more elements, so the
     sets are taken one size at a time, largest first, and each is looked up
-    among the larger sets that are not themselves inside another, kept in
-    that order.  The lookup is a bitset index: for each label, the positions
-    of the kept sets holding it.  A set lies inside exactly the kept sets in
-    the AND of its labels' bitsets, and the lowest of them is reported.  The
-    index is keyed by the labels in use, so its size does not grow with the
-    ground set.  The sets one size adds are indexed together: past a word
-    of them, each label's new positions come from one packing of their
-    masks (:func:`_label_columns`), shifted past the kept positions in one
-    step.  Sets of one size cost no comparisons, and the smallest size is
-    never indexed, since nothing is looked up after it.
+    among the larger sets that are not themselves inside another.  The
+    lookup is a bitset index: for each label, the positions of the indexed
+    sets holding it.  A set lies inside another exactly when the AND of its
+    labels' bitsets is nonzero.  The index is keyed by the labels in use, so
+    its size does not grow with the ground set.  The sets one size adds are
+    indexed together: past a word of them, each label's new positions come
+    from one packing of their masks (:func:`_label_columns`), shifted past
+    the indexed positions in one step.  Sets of one size cost no
+    comparisons, and the smallest size is never indexed, since nothing is
+    looked up after it.
     """
     by_size: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
         by_size.setdefault(len(s), []).append(i)
     sizes = sorted(by_size, reverse=True)
-    inside: dict[int, int] = {}
-    kept: list[int] = []  # indices of the undominated larger sets
-    holding: defaultdict[int, int] = defaultdict(int)  # label -> bitset of positions in kept
+    inside: set[int] = set()
+    indexed = 0  # the number of undominated larger sets in the index
+    holding: defaultdict[int, int] = defaultdict(int)  # label -> bitset of indexed positions
     positions_of = holding.__getitem__
     for size in sizes:
         group = by_size[size]
-        if kept:
-            everything = (1 << len(kept)) - 1
+        if indexed:
+            everything = (1 << indexed) - 1
             for i in group:
-                found = reduce(and_, map(positions_of, sets[i]), everything)
-                if found:
-                    inside[i] = kept[(found & -found).bit_length() - 1]
+                if reduce(and_, map(positions_of, sets[i]), everything):
+                    inside.add(i)
         if size == sizes[-1]:
             break
         added = [i for i in group if i not in inside]
         if len(added) > 64:
             columns = _label_columns([sets[i] for i in added], [masks[i] for i in added])
             for label, column in columns.items():
-                holding[label] |= column << len(kept)
+                holding[label] |= column << indexed
         else:  # within a word of sets, setting each set's bits costs less
-            for position, i in enumerate(added, len(kept)):
+            for position, i in enumerate(added, indexed):
                 bit = 1 << position
                 for label in sets[i]:
                     holding[label] |= bit
-        kept += added
+        indexed += len(added)
     return inside
 
 
@@ -293,7 +292,7 @@ def maximal_up_set(fam: HereditaryFamily, members: ElementSet) -> list[tuple[int
     mmask = set_mask(m)
     above = [fmask for fmask in fam.masks if not mmask & ~fmask]
     _check_enumeration(sum(1 << (f & ~mmask).bit_count() for f in above), "maximal_up_set")
-    found = set()
+    found = {m}  # no maximal set holds () when the antichain is empty
     for fmask in above:
         rest = mask_to_tuple(fmask & ~mmask)
         for r in range(len(rest) + 1):

@@ -298,11 +298,7 @@ def verify_certificate(fam: HereditaryFamily, res: GameValueResult) -> Verificat
         return VerificationResult(False, "dual-index")
     if any(w < 0 for w in dw.values()):
         return VerificationResult(False, "dual-negative")
-    total = sum(dw.values(), ZERO)
-    if dw:
-        if total != 1:
-            return VerificationResult(False, "dual-sum")
-    elif fam.maximal:
+    if sum(dw.values(), ZERO) != (1 if fam.maximal else 0):
         return VerificationResult(False, "dual-sum")
     if _min_coverage(fam, res.dual) != delta:
         return VerificationResult(False, "dual-coverage")

@@ -4,10 +4,9 @@ Each ground-set label carries a finite union of closed rational
 subintervals, an :class:`IntervalSet`, which takes its pieces in any order
 and stores them sorted and merged.  A set of labels is a member exactly when
 the corresponding interval sets share a common point.  The family is
-computed by an endpoint sweep: stabilizer sets are read off at every endpoint
-and at the midpoint of every gap between consecutive endpoints (closed
-intervals can meet in a single shared endpoint, so endpoints must be sampled
-themselves).
+computed by a sweep over piece starts: labels whose interval sets share a
+point x also share the largest start of their pieces through x, so the
+stabilizer sets read off at the piece starts hold every member.
 
 The minimum Lebesgue measure of the interval sets lower-bounds the game
 value of the traced family: any mean gives the indicator average
@@ -18,6 +17,7 @@ that much mass.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -134,22 +134,19 @@ def direct_intersection(sys: IntervalSystem, labels: Iterable[int]) -> IntervalS
 def trace_family(sys: IntervalSystem) -> HereditaryFamily:
     """Family of label sets whose interval sets share a point.
 
-    Endpoint sweep: every stabilizer {s : x in C_s} for x an endpoint or a
-    gap midpoint is collected; the family is the downward closure of these
-    stabilizers.  Hereditary by construction, and adequate in the finite
-    sense: a set belongs iff all its subsets do.
-
-    The sample points are ranked in increasing order, so endpoint ``i`` has
-    rank ``2i`` and the midpoint after it ``2i + 1``; a piece ``[a, b]``
-    holds exactly the points ranked ``rank[a]..rank[b]``, and no midpoint
-    has to be computed.
+    If some labels' interval sets share a point x, the largest start a of
+    their pieces through x has a <= x <= every end of those pieces, so all
+    of them contain a.  The family is therefore the downward closure of the
+    stabilizers {s : a in C_s} at the piece starts a: hereditary by
+    construction, and adequate in the finite sense (a set belongs iff all
+    its subsets do).  A piece ``[a, b]`` holds the run of sorted starts from
+    ``a`` to ``b``, found by bisection.
     """
-    endpoints = sorted({x for iset in sys.sets for piece in iset.pieces for x in piece})
-    rank = {x: 2 * i for i, x in enumerate(endpoints)}
-    stabilizers: list[list[int]] = [[] for _ in range(2 * len(endpoints) - 1)]
+    starts = sorted({a for iset in sys.sets for a, _ in iset.pieces})
+    stabilizers: list[list[int]] = [[] for _ in starts]
     for s, iset in enumerate(sys.sets):
         for a, b in iset.pieces:
-            for point in range(rank[a], rank[b] + 1):
+            for point in range(bisect_left(starts, a), bisect_right(starts, b)):
                 stabilizers[point].append(s)
     return hereditary_closure(stabilizers, sys.n)
 

@@ -213,14 +213,10 @@ def test_construction_memory_does_not_grow_with_the_square_of_n():
 
 
 def pairwise_containers(masks):
-    """Reference for ``_containers``: every mask lying inside another, mapped
-    to the largest undominated mask containing it, the lowest index on ties."""
-    dominated = {i for i, a in enumerate(masks)
-                 if any(j != i and a & b == a for j, b in enumerate(masks))}
-    return {i: min((j for j, b in enumerate(masks)
-                    if j not in dominated and j != i and masks[i] & b == masks[i]),
-                   key=lambda j: (-masks[j].bit_count(), j))
-            for i in dominated}
+    """Reference for ``_containers``: the indices of the masks lying inside
+    another."""
+    return {i for i, a in enumerate(masks)
+            if any(j != i and a & b == a for j, b in enumerate(masks))}
 
 
 def test_containers_match_pairwise_scan():
@@ -271,8 +267,8 @@ def test_containers_match_pairwise_scan_on_many_sets():
 
 def test_containers_match_pairwise_scan_on_a_size_class_of_thousands():
     """A size class of over 1,000 sets on more than 64 labels is added to the
-    index in one packing; each set inside several kept sets is reported with
-    the lowest of them, the largest first."""
+    index in one packing, and over 30 sets lying inside several others are
+    found."""
     rng = random.Random(61)
     n = 90
     big = {frozenset(rng.sample(range(n), 12)) for _ in range(6)}
@@ -569,6 +565,9 @@ def test_up_set_of_maximal_is_singleton():
 def test_up_set_enumeration():
     fam = hereditary_closure([{0, 1}], 2)
     assert maximal_up_set(fam, {0}) == [(0,), (0, 1)]
+    assert maximal_up_set(fam, []) == [(), (0,), (0, 1), (1,)]
+    # () is a member of the family of the empty antichain too
+    assert maximal_up_set(hereditary_closure([], 3), []) == [()]
 
 
 def test_up_set_bruteforce():

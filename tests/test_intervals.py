@@ -203,6 +203,25 @@ def test_trace_family_matches_per_point_sweep():
                for sysm in systems) > 100
 
 
+def test_trace_family_reads_one_stabilizer_per_piece_start(monkeypatch):
+    # points and shared endpoints: 6 distinct piece starts among 7 distinct
+    # endpoints, where sampling every endpoint and gap midpoint reads 13
+    sysm = system_of([(0, F(1, 4)), (F(5, 8), F(5, 8))],
+                     [(F(1, 4), F(1, 2)), (F(3, 4), 1)],
+                     [(F(1, 8), F(1, 8)), (F(1, 2), F(3, 4))])
+    read = []
+
+    def capture(sets, n):
+        read.append([list(s) for s in sets])
+        return hereditary_closure(read[-1], n)
+
+    monkeypatch.setattr(intervals, "hereditary_closure", capture)
+    fam = trace_family(sysm)
+    assert read == [[[0], [0, 2], [0, 1], [1, 2], [0, 2], [1, 2]]]
+    assert len(read[0]) == len({a for iset in sysm.sets for a, _ in iset.pieces})
+    assert fam.maximal == ((0, 1), (0, 2), (1, 2)) and fam == per_point_sweep_family(sysm)
+
+
 def test_trace_family_is_adequate_finite_form():
     # a set belongs iff all its subsets belong (exhaustive, small n)
     for seed in range(10):
