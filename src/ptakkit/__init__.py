@@ -55,7 +55,6 @@ from .norms import (
 from .search import (
     BoundReport,
     SearchResult,
-    greedy_member,
     max_member,
     ptak_bound_check,
 )

@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 from . import accel
 from .families import (
@@ -29,8 +30,7 @@ from .families import (
     random_family,
     trace,
 )
-from .game import (MAX_PLAY_ITERS, GameValueResult, delta_exact, fictitious_play,
-                   verify_certificate)
+from .game import GameValueResult, delta_exact, fictitious_play, verify_certificate
 from .intervals import IntervalSystem, measure_lower_bound, random_system
 from .norms import FamilyVector, check_equivalence
 from .rationals import format_rational, parse_rational
@@ -40,6 +40,10 @@ from .suite import run_suite
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+
+# ``oracle`` plays at most ORACLE_ITERS iterations, stopped at width ORACLE_EPSILON.
+ORACLE_ITERS = 10**6
+ORACLE_EPSILON = Fraction(1, 10**6)
 
 
 class InputError(Exception):
@@ -62,14 +66,6 @@ def _load(inputs: dict, path: str, reader):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _rational_flag(flag: str, text: str):
-    """``text`` as a rational; a malformed one is an InputError naming ``flag``."""
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise InputError(f"{flag}: {exc}") from None
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -148,13 +144,8 @@ def cmd_interval_bound(args, inputs):
 
 
 def cmd_oracle(args, inputs):
-    epsilon = _rational_flag("--epsilon", args.epsilon)
-    if epsilon <= 0:
-        raise InputError(f"--epsilon must be positive, got {args.epsilon}")
-    if not 1 <= args.max_iters <= MAX_PLAY_ITERS:
-        raise InputError(f"--max-iters must be in [1, {MAX_PLAY_ITERS}], got {args.max_iters}")
     fam = _load(inputs, args.family, family_from_json_dict)
-    res = fictitious_play(fam, args.max_iters, epsilon)
+    res = fictitious_play(fam, ORACLE_ITERS, ORACLE_EPSILON)
     exact = delta_exact(fam).delta
     contains = res.contains(exact)
     return contains and res.converged, {
@@ -183,7 +174,10 @@ def cmd_gen(args, inputs):
         params = {"n": args.n, "max_sets": args.max_sets}
     else:
         _at_least("--pieces", args.pieces, 1)
-        min_measure = _rational_flag("--min-measure", args.min_measure)
+        try:
+            min_measure = parse_rational(args.min_measure)
+        except ValueError as exc:
+            raise InputError(f"--min-measure: {exc}") from None
         if not 0 <= min_measure <= 1:
             raise InputError(f"--min-measure must lie in [0, 1], got {args.min_measure}")
         payload = random_system(args.seed, args.n, args.pieces, min_measure).to_json_dict()
@@ -228,10 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("interval-bound", cmd_interval_bound,
             "measure lower bound of a system's trace", ["--system"])
 
-    p = command("oracle", cmd_oracle,
-                "fictitious-play bracket cross-checked against the exact value", ["--family"])
-    p.add_argument("--epsilon", default="1/1000000")
-    p.add_argument("--max-iters", type=int, default=10**6)
+    command("oracle", cmd_oracle,
+            "fictitious-play bracket cross-checked against the exact value", ["--family"])
 
     p = command("gen", cmd_gen, "generate family or interval-system files")
     p.add_argument("--kind", required=True,

@@ -220,13 +220,17 @@ class HereditaryFamily:
         n = self.n
         if n < 1:
             raise ValueError("ground set must have at least one element")
+        bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
         sets = self.maximal
-        if not _canonical_form(sets, n):
+        try:
+            masks = [sum(map(bit, s)) for s in sets] if _canonical_form(sets, n) else None
+        except TypeError:  # a label that is not an int; normalize_set rejects it
+            masks = None
+        if masks is None:
             sets = sorted({normalize_set(s, n) for s in sets})
             if sets and not sets[0]:  # the empty set sorts first
                 del sets[0]
-        bit = _BIT.__getitem__ if n <= len(_BIT) else (1).__lshift__
-        masks = [sum(map(bit, s)) for s in sets]
+            masks = [sum(map(bit, s)) for s in sets]
         inside = _containers(sets, masks)
         if inside:
             sets = [s for i, s in enumerate(sets) if i not in inside]

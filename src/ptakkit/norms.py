@@ -30,9 +30,6 @@ class FamilyVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
 
-    def to_json_dict(self) -> dict:
-        return {"coords": [format_rational(c) for c in self.coords]}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilyVector":
         if not isinstance(d, dict):
@@ -44,11 +41,13 @@ class FamilyVector:
         return cls(tuple(d["coords"]))
 
 
-def _as_coords(fam: HereditaryFamily, x) -> tuple[Fraction, ...]:
+def _scaled(x, n: Optional[int] = None) -> tuple[list[int], int]:
+    """The coordinates of ``x`` as integers over one denominator; there must
+    be ``n`` of them when ``n`` is given."""
     coords = x.coords if isinstance(x, FamilyVector) else tuple(as_fraction(c) for c in x)
-    if len(coords) != fam.n:
-        raise ValueError(f"vector length {len(coords)} != ground size {fam.n}")
-    return coords
+    if n is not None and len(coords) != n:
+        raise ValueError(f"vector length {len(coords)} != ground size {n}")
+    return scaled_ints(coords)
 
 
 def _fnorm_scaled(sets, nums) -> int:
@@ -68,14 +67,12 @@ def _fnorm_scaled(sets, nums) -> int:
 
 def f_norm(fam: HereditaryFamily, x) -> Fraction:
     """Max absolute member sum (sign-split over maximal sets, exact)."""
-    coords = _as_coords(fam, x)
-    nums, den = scaled_ints(coords)
+    nums, den = _scaled(x, fam.n)
     return Fraction(_fnorm_scaled(fam.maximal, nums), den)
 
 
 def l1_norm(x) -> Fraction:
-    coords = x.coords if isinstance(x, FamilyVector) else tuple(as_fraction(c) for c in x)
-    nums, den = scaled_ints(coords)
+    nums, den = _scaled(x)
     return Fraction(sum(map(abs, nums)), den)
 
 
@@ -103,7 +100,7 @@ def check_equivalence(fam: HereditaryFamily, x) -> EquivalenceReport:
     """Exact sandwich check: (delta/2) l1 <= fnorm <= l1, and delta-scaled
     lower bound for nonnegative vectors.  The vector is coerced and put over
     one denominator once, and both norms are read off those integers."""
-    nums, den = scaled_ints(_as_coords(fam, x))
+    nums, den = _scaled(x, fam.n)
     if not any(nums):
         raise ValueError("zero vector")
     l1 = Fraction(sum(map(abs, nums)), den)

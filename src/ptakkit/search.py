@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .families import HereditaryFamily, mask_to_tuple
+from .families import HereditaryFamily
 from .game import delta_exact
 from .rationals import format_rational
 
@@ -41,19 +40,6 @@ def max_member(fam: HereditaryFamily) -> SearchResult:
     best = max(fam.maximal, key=len, default=())
     return SearchResult(best=best, size=len(best), nodes_explored=len(fam.maximal),
                         optimal=True)
-
-
-def greedy_member(fam: HereditaryFamily, order: Sequence[int]) -> tuple[int, ...]:
-    """Scan labels in the given order, keeping each one that preserves
-    membership of the accumulated set."""
-    if sorted(order) != list(range(fam.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    acc = 0
-    for e in order:
-        cand = acc | (1 << e)
-        if any(cand & ~m == 0 for m in fam.masks):
-            acc = cand
-    return mask_to_tuple(acc)
 
 
 @dataclass(frozen=True)

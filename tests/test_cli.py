@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import ptakkit.cli
 import ptakkit.families
+import ptakkit.game
 import ptakkit.search
 from ptakkit.cli import main
 from ptakkit.families import family_from_json_dict
@@ -273,17 +275,18 @@ def test_oracle_command(family_file, capsys):
     assert rep["exact"] == "2/5"
 
 
-HUGE_EPSILON = "1" + "0" * 400  # too large for a float
-
-
-def test_oracle_huge_epsilon_reports_like_epsilon_2(family_file, capsys):
-    runs = [run(capsys, "oracle", "--family", str(family_file), "--epsilon", eps)
-            for eps in (HUGE_EPSILON, "2")]
-    assert runs[0][0] == runs[1][0] == 0
-    assert strip_timestamp(runs[0][1]) == strip_timestamp(runs[1][1])
+def test_oracle_plays_at_fixed_settings(family_file, capsys, count_calls):
+    calls = count_calls("fictitious_play", [ptakkit.game, ptakkit.cli])
+    rc, _, _ = run(capsys, "oracle", "--family", str(family_file))
+    assert rc == 0
+    assert [args[1:] for args in calls] == [(10**6, Fraction(1, 10**6))]
+    rc, out, _ = run(capsys, "oracle", "--help")
+    assert rc == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--family", "--out"}
 
 
 @pytest.mark.parametrize("command, flag, value", [
+    # oracle plays at fixed settings: argparse rejects these flags itself
     ("oracle", "--epsilon", "0"),
     ("oracle", "--epsilon", "-1/2"),
     ("oracle", "--max-iters", "0"),

@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -191,6 +192,18 @@ def test_direct_construction_messages_and_their_order(n, maximal, expected):
         assert str(exc.value) == expected
     else:
         assert HereditaryFamily(n=n, maximal=maximal).maximal == expected
+
+
+@pytest.mark.parametrize("n", [3, 300])
+@pytest.mark.parametrize("label", [1.0, Fraction(1), "a"])
+def test_non_int_label_is_refused_like_list_input(n, label):
+    """A label that is not an int is refused with normalize_set's message,
+    also in input that otherwise looks canonical."""
+    name = type(label).__name__
+    for maximal in (((label, 2),), [[label, 2]]):
+        with pytest.raises(TypeError) as exc:
+            HereditaryFamily(n=n, maximal=maximal)
+        assert str(exc.value) == f"'{name}' object cannot be interpreted as an integer"
 
 
 def test_direct_construction_masks():

@@ -4,8 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 import ptakkit.game
 import ptakkit.norms
 import ptakkit.search
@@ -24,7 +22,6 @@ from ptakkit.game import ConvexMean, evaluate_mean
 from ptakkit.intervals import random_system, trace_family
 from ptakkit.search import (
     BoundReport,
-    greedy_member,
     max_member,
     ptak_bound_check,
 )
@@ -116,46 +113,6 @@ def test_max_member_pinned_on_wide_families():
         r = max_member(fam)
         assert r.nodes_explored == len(fam.maximal) and r.optimal is True
         assert (r.best, r.size, r.nodes_explored, r.optimal) == expected
-
-
-# --- greedy_member ----------------------------------------------------------------
-
-def test_greedy_full_powerset_takes_everything():
-    fam = cardinality_bound_family(3, 3)
-    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-        assert greedy_member(fam, order) == (0, 1, 2)
-
-
-def test_greedy_c5_natural_order():
-    fam = maximal_cliques(5, cycle_edges(5))
-    # step-by-step: {0} ok, {0,1} ok, {0,1,2} x, {0,1,3} x, {0,1,4} x
-    acc = []
-    for e in range(5):
-        if membership(fam, acc + [e]):
-            acc.append(e)
-    assert tuple(acc) == (0, 1)
-    assert greedy_member(fam, [0, 1, 2, 3, 4]) == (0, 1)
-
-
-def test_greedy_empty_family():
-    assert greedy_member(hereditary_closure([], 3), [2, 1, 0]) == ()
-
-
-def test_greedy_requires_permutation():
-    fam = cardinality_bound_family(3, 2)
-    with pytest.raises(ValueError):
-        greedy_member(fam, [0, 1])
-    with pytest.raises(ValueError):
-        greedy_member(fam, [0, 1, 1])
-
-
-def test_greedy_never_beats_max_member(corpus):
-    rng = random.Random(12)
-    for fam in corpus[:40]:
-        best = max_member(fam).size
-        order = list(range(fam.n))
-        rng.shuffle(order)
-        assert len(greedy_member(fam, order)) <= best
 
 
 # --- ptak_bound_check --------------------------------------------------------------
