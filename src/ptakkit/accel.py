@@ -3,17 +3,18 @@
 Algorithm: alternating fictitious play with least-played tie-breaking.  Any
 probability weighting certifies a bound (its worst case is evaluated
 exactly), so the kernel keeps the best bound seen from (a) the running
-empirical averages at every iteration and (b) at doubling checkpoints, the
-averages snapped by largest-remainder rounding to denominators up to
-``SNAP_QMAX`` and, for a player that has played more strategies than that,
-to the number it has played.  Games on 0/1 matrices have simple rational
-equilibria, so a snapped average typically hits one exactly and the bracket
-collapses to zero width; a player that cycles through a wide support plays
-its strategies about equally often, and snaps to its uniform weighting only
-at that last denominator.  All bookkeeping is in integers (int64 arrays and
-Python ints); the returned bounds are exact integer fractions.  Floats carry
-only the checkpoint products, whose values are small integers held exactly,
-and the stopping test (with a safety margin; the caller re-checks exactly).
+empirical averages at every iteration and (b) at doubling checkpoints, two
+kinds of candidate per player: the uniform weighting of the strategies it
+has played, and its averages snapped by largest-remainder rounding to
+denominators up to ``SNAP_QMAX``.  Games on 0/1 matrices have simple
+rational equilibria, so a snapped average typically hits one exactly and
+the bracket collapses to zero width; a player that cycles through a wide
+support plays its strategies about equally often, and the uniform candidate
+certifies that weighting however far apart its counts still are.  All
+bookkeeping is in integers (int64 arrays and Python ints); the returned
+bounds are exact integer fractions.  Floats carry only the snap products,
+whose values are small integers held exactly, and the stopping test (with a
+safety margin; the caller re-checks exactly).
 
 The play loop keeps one tie key per strategy, ``pay * big - count`` for
 rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
@@ -31,12 +32,13 @@ only at checkpoints.  The float width test runs only when a bound moved.
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
 next checkpoint (or ``max_iters``).  A checkpoint raises a lower bound, on
 ``M`` for the row player and on ``-M.T`` for the column player, whose upper
-bound on ``M`` is minus its lower bound on ``-M.T``.  It snaps the counts
-only for the ``q`` that can still move that bound: a snapped lower bound
-``num/q`` cannot exceed the opposite bound, so unless some ``num/q`` lies
-strictly above the lower bound and at most the opposite bound, ``q`` is
-skipped.  Once the bracket closes, no ``q`` survives and the checkpoint
-returns at once.
+bound on ``M`` is minus its lower bound on ``-M.T``.  It first folds in the
+uniform candidate, whose worst case is one int64 column sum of the played
+strategies' pay rows, and then snaps the counts only for the ``q`` that can
+still move that bound: a snapped lower bound ``num/q`` cannot exceed the
+opposite bound, so unless some ``num/q`` lies strictly above the lower bound
+and at most the opposite bound, ``q`` is skipped.  Once the bracket closes,
+no ``q`` survives and the checkpoint returns at once, without snapping.
 
 Strategies played equally often snap alike, so the survivors are rounded by
 count class, not by strategy: a cardinality game has 3-8 classes among
@@ -65,9 +67,9 @@ from __future__ import annotations
 
 from itertools import compress
 
-# Largest snap denominator tried for every player; one that has played more
-# strategies than this also snaps to q = the number it has played.  The
-# float64 checkpoint product is exact: a row snapped to q has integer weights
+# Largest snap denominator tried for every player; its uniform weighting of
+# the strategies it has played is tried too, in int64, whatever their number.
+# The float64 snap product is exact: a row snapped to q has integer weights
 # summing to q, at most the number of strategies, and the payoffs are 0 or 1
 # (on M) or 0 or -1 (on -M.T), so every product and every partial sum BLAS
 # forms of class weights times class pay sums, in whatever order or blocking
@@ -80,32 +82,37 @@ _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
 
 
 def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
-    """Fold the snapped strategies' exact worst cases into the lower bound.
+    """Fold the exact worst cases of the uniform and the snapped weightings
+    into the lower bound.
 
     ``pay`` maps the player's weights to the opponent's payoffs (``M`` for
     the row player, ``-M.T`` for the column player, whose upper bound is
-    minus this lower bound); each snap of the counts to ``q`` (largest
-    remainders first, ties to the smaller count, then to the lower index)
-    certifies the ``min`` of them over ``q``.  That fraction cannot exceed
-    ``other_n/other_d``, the opposite bound, so a ``q`` is snapped only if
-    some ``num/q`` lies strictly above the best and at most the opposite
-    bound; no other ``q`` could replace the best.  Nor can a ``q`` whose
-    payoff against the opponent's best reply to the unsnapped counts is not
-    strictly above the best, as the worst case is at most that payoff.
+    minus this lower bound).  The uniform weighting of the played strategies
+    certifies the ``min`` of their summed pay rows over their number, and is
+    folded first; then each snap of the counts to ``q`` (largest remainders
+    first, ties to the smaller count, then to the lower index) certifies the
+    ``min`` of them over ``q``, replacing the best only when strictly
+    better.  That fraction cannot exceed ``other_n/other_d``, the opposite
+    bound, so a ``q`` is snapped only if some ``num/q`` lies strictly above
+    the best and at most the opposite bound; no other ``q`` could replace
+    the best.  Nor can a ``q`` whose payoff against the opponent's best
+    reply to the unsnapped counts is not strictly above the best, as the
+    worst case is at most that payoff.
     """
     import numpy as np
 
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
-    # a wide support snaps to its uniform weighting only at q = len(played);
+    counts, pay = counts[played], pay[played]
+    # the uniform weighting of the played strategies comes first, in int64
+    num = int(pay.sum(axis=0).min())
+    if num * best_d > best_n * len(played):
+        best_n, best_d = num, len(played)
     # the bounds' terms are at most 10**9 (MAX_PLAY_ITERS) and the floor
     # division comes before the multiply, so int64 terms stay at most q * 10**9
     qs = np.arange(1, SNAP_QMAX + 1, dtype=np.int64)
-    if len(played) > SNAP_QMAX:
-        qs = np.append(qs, len(played))
     live = qs[other_n * qs // other_d * best_d > best_n * qs]  # floor(other * q) > best
     if not len(live):
         return best_n, best_d
-    counts, pay = counts[played], pay[played]
     reply = (counts @ pay).argmin()
     pay = pay.astype(np.float64)
     # strategies with equal counts snap alike, so round each class once; its

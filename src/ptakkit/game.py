@@ -337,7 +337,10 @@ def fictitious_play(fam: HereditaryFamily, max_iters: int,
 
     Both players repeatedly best-respond to the opponent's empirical average
     (alternating updates, first-index tie-breaking); the tightest certified
-    bounds seen are kept.  Bounds are exact rationals, so the returned
+    bounds seen are kept.  Besides the running averages, doubling
+    checkpoints certify each player's uniform weighting of the strategies it
+    has played and its averages rounded to denominators up to
+    ``accel.SNAP_QMAX``.  Bounds are exact rationals, so the returned
     bracket genuinely contains the value; ``converged`` reports whether the
     width reached ``epsilon`` within ``max_iters`` iterations.
     """

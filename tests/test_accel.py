@@ -72,8 +72,9 @@ def test_checkpoint_folds_the_best_snap():
     M = (rng.random((9, 6)) < 0.5).astype(np.int64)
     counts = rng.integers(0, 40, size=9).astype(np.int64)
     k = int(counts.sum())
-    best = max(Fraction(int((np.array(reference_snap(counts.tolist(), k, q)) @ M).min()), q)
-               for q in range(1, accel.SNAP_QMAX + 1))
+    best = max([Fraction(*uniform_candidate(counts, M))]
+               + [Fraction(int((np.array(reference_snap(counts.tolist(), k, q)) @ M).min()), q)
+                  for q in range(1, accel.SNAP_QMAX + 1)])
     num, den = accel._snap_checkpoint(counts, k, M, 0, 1, 1, 1)
     assert Fraction(num, den) == best
 
@@ -87,8 +88,10 @@ def test_column_checkpoint_matches_max_form_reference(seed):
     counts = rng.integers(0, 40, size=7).astype(np.int64)
     counts[seed % 7] += 1
     k = int(counts.sum())
-    upper = min(Fraction(int((M @ np.array(reference_snap(counts.tolist(), k, q))).max()), q)
-                for q in range(1, accel.SNAP_QMAX + 1))
+    played = counts > 0
+    upper = min([Fraction(int(M[:, played].sum(axis=1).max()), int(played.sum()))]
+                + [Fraction(int((M @ np.array(reference_snap(counts.tolist(), k, q))).max()), q)
+                   for q in range(1, accel.SNAP_QMAX + 1)])
     num, den = accel._snap_checkpoint(counts, k, -M.T, -1, 1, 0, 1)
     assert Fraction(-num, den) == upper < 1
 
@@ -113,19 +116,20 @@ def test_snaps_match_fraction_reference_on_seeded_counts():
     assert all(seen.values()), seen
 
 
-def candidate_qs(counts):
-    """The q a checkpoint scans: 1..SNAP_QMAX, then the played-support size
-    when it is larger."""
-    support = int(np.count_nonzero(counts))
-    return list(range(1, accel.SNAP_QMAX + 1)) + [support] * (support > accel.SNAP_QMAX)
+def uniform_candidate(counts, pay):
+    """The uniform weighting of the played strategies, as (worst case, q)."""
+    played = counts > 0
+    return int(pay[played].sum(axis=0).min()), int(played.sum())
 
 
 def full_fold(counts, k, pay, best_n, best_d):
-    """The unpruned fold: every candidate q, in increasing order, each snap
-    evaluated by an int64 matmul (the reference for the float64 one)."""
-    qs = np.array(candidate_qs(counts), dtype=np.int64)
+    """The unpruned fold: the uniform candidate, then the snap to every q up
+    to SNAP_QMAX in increasing order, each evaluated by an int64 matmul (the
+    reference for the float64 one); a candidate replaces the best only when
+    it is strictly better."""
+    qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
     out = snapped_counts(counts, k, qs) @ pay
-    for q, num in zip(qs.tolist(), out.min(axis=1).tolist()):
+    for num, q in [uniform_candidate(counts, pay), *zip(out.min(axis=1).tolist(), qs.tolist())]:
         if num * best_d > best_n * q:
             best_n, best_d = num, q
     return best_n, best_d
@@ -165,11 +169,13 @@ def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
 
 def reply_discards(counts, k, pay, best_n, best_d, other_n, other_d):
     """How many q the opposite bound keeps but the payoff against the
-    opponent's best reply to the unsnapped counts rules out."""
+    opponent's best reply to the unsnapped counts rules out, once the
+    uniform candidate has raised the best."""
     reply = (counts @ pay).argmin()
-    best, other = Fraction(best_n, best_d), Fraction(other_n, other_d)
+    best = max(Fraction(best_n, best_d), Fraction(*uniform_candidate(counts, pay)))
+    other = Fraction(other_n, other_d)
     discarded = 0
-    for q in candidate_qs(counts):
+    for q in range(1, accel.SNAP_QMAX + 1):
         if Fraction(math.floor(other * q), q) > best:
             snap = snapped_counts(counts, k, np.array([q], dtype=np.int64))[0]
             discarded += Fraction(int(snap @ pay[:, reply]), q) <= best
@@ -206,13 +212,14 @@ def test_classes_tied_at_the_cut_snap_per_strategy(seed):
         assert got == full_fold(counts, k, pay, *start)
 
 
-def check_support_snap_wins(counts, k, pay, start, trivial, value):
+def check_uniform_candidate_wins(counts, k, pay, start, trivial, value):
     support = int(np.count_nonzero(counts))
     assert support > accel.SNAP_QMAX
     want = full_fold(counts, k, pay, *start)
-    # the support-size q wins with the exact value, and the float64 product,
-    # pruned by the opposite bound (the value or a looser one) or not, agrees
-    assert want[1] == support and Fraction(*want) == value
+    # the uniform candidate wins with the exact value, and the float64
+    # product, pruned by the opposite bound (the value or a looser one) or
+    # not, agrees
+    assert want == uniform_candidate(counts, pay) and Fraction(*want) == value
     assert accel._snap_checkpoint(counts, k, pay, *start, *trivial) == want
     for other in (value, (value + Fraction(*trivial)) / 2):
         got = accel._snap_checkpoint(counts, k, pay, *start,
@@ -230,20 +237,45 @@ def test_near_uniform_counts_snap_to_their_support_size(n, k, row):
     rng = np.random.default_rng(n * 100 + k)
     counts = 10 + (rng.random(pay.shape[0]) < 0.5).astype(np.int64)
     value = Fraction(k if row else -k, n)
-    check_support_snap_wins(counts, int(counts.sum()), pay, start, trivial, value)
+    check_uniform_candidate_wins(counts, int(counts.sum()), pay, start, trivial, value)
 
 
-def test_c12_7_row_player_snaps_to_its_support_size(monkeypatch):
-    # the state fp_bracket checkpoints at k = 8,192, where C(12,7) closes
+def test_c12_7_closes_on_the_uniform_candidate_at_1024(monkeypatch):
+    # fp_bracket closes C(12,7) at its k = 1,024 checkpoint, where the row
+    # player has played all 792 sets, 1 to 7 times each
     M = incidence_matrix(cardinality_bound_family(12, 7))
     calls = []
     with monkeypatch.context() as patch:
         real = accel._snap_checkpoint
         patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
-        accel.fp_bracket(M, 10**6, 1e-6)
-    (state,) = [a[:5] for a in calls if a[1] == 8192 and a[2] is M]
+        assert accel.fp_bracket(M, 10**6, 1e-6) == (462, 792, 14, 24, 1024)
+    assert max(a[1] for a in calls) == 1024
+    (state,) = [a[:5] for a in calls if a[1] == 1024 and a[2] is M]
     counts, k, pay, best_n, best_d = state
-    check_support_snap_wins(counts, k, pay, (best_n, best_d), (1, 1), Fraction(7, 12))
+    assert counts.min() == 1 and counts.max() - counts.min() > k / len(counts)
+    check_uniform_candidate_wins(counts, k, pay, (best_n, best_d), (1, 1), Fraction(7, 12))
+
+
+def test_uniform_candidate_wins_where_no_snap_can():
+    # counts of 1-40 on C(11,4)'s 330 sets: the most and least played differ
+    # by more than the average count, so no snap to q <= SNAP_QMAX reaches
+    # 4/11, while the uniform weighting of the sets does (each label lies in
+    # 120 of them)
+    M = incidence_matrix(cardinality_bound_family(11, 4))
+    rng = np.random.default_rng(114)
+    counts = rng.integers(1, 41, size=len(M))
+    k = int(counts.sum())
+    assert counts.max() - counts.min() > k / len(M)
+    qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
+    assert ((snapped_counts(counts, k, qs) @ M).min(axis=1) * 11 < 4 * qs).all()
+    assert accel._snap_checkpoint(counts, k, M, 0, 1, 1, 1) == (120, 330)
+    # a column player that has played 8 of the 11 labels is weighted 1/8 on
+    # each of them, so the heaviest set weighs 4/8, where weighting all 11
+    # labels would give 4/11
+    col = rng.integers(1, 41, size=11)
+    col[[2, 5, 9]] = 0
+    got = accel._snap_checkpoint(col, int(col.sum()), -M.T, -1, 1, 0, 1)
+    assert got == (-4, 8) == full_fold(col, int(col.sum()), -M.T, -1, 1)
 
 
 # (sets, labels, blocks of q for the row player): every q in one block, two
@@ -251,6 +283,28 @@ def test_c12_7_row_player_snaps_to_its_support_size(monkeypatch):
 # than _SNAP_ELEMS // 16 labels
 SNAP_SHAPES = [(5, 3, 1), (7, accel._SNAP_ELEMS // 512, 1), (9, accel._SNAP_ELEMS // 300, 2),
                (6, accel._SNAP_ELEMS // 16 + 100, 37)]
+
+# Column counts of the two shapes with more than one block whose best snap
+# lies in the last block, once the test adds its +1 to the first: 51 count
+# classes of 54 labels make blocks of 321, and 1,124 classes blocks of 14.
+# No search found such counts for the row players of at most 9 sets, whose
+# uniform candidate certifies at least 1/9 whenever a snap certifies more
+# than 0.
+LAST_BLOCK_COLUMN_COUNTS = {
+    54: np.array([118, 796, 21, 52, 430, 185, 71, 46, 289, 225, 159, 337, 327, 230, 36, 149,
+                  122, 111, 116, 27, 76, 52, 387, 182, 603, 550, 151, 43, 82, 301, 249, 146,
+                  234, 787, 551, 50, 77, 293, 193, 269, 85, 85, 162, 427, 229, 222, 141, 117,
+                  132, 12, 234, 258, 115, 90]),
+    1124: np.random.default_rng(63).permutation(1124) + 1,
+}
+
+
+def won_in_last_block(counts, pay, start, got):
+    """Whether ``got``, a checkpoint's fold from ``start``, is a snap from the
+    last of the blocks the kernel splits 1..SNAP_QMAX into for these counts."""
+    block = accel._SNAP_ELEMS // max(len(np.unique(counts[counts > 0])), pay.shape[1])
+    return (got not in (start, uniform_candidate(counts, pay))
+            and (accel.SNAP_QMAX - 1) // block * block < got[1] <= accel.SNAP_QMAX)
 
 
 @pytest.mark.parametrize("sets, labels, blocks", SNAP_SHAPES)
@@ -261,16 +315,16 @@ def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
     M = (rng.random((sets, labels)) < 0.5).astype(np.int64)
     M[1] = 1 - M[0]  # set 1 holds exactly the labels set 0 lacks
     M[:, 0] = 1  # and label 0 is in every set
-    last_q = 0
+    last_block_won = False
     for counts_of in (
         lambda m: rng.integers(0, 50, size=m),
         # one strategy holds nearly all counts: at q = 512 it snaps to 511 or 512
         lambda m: np.array([10**6 - m + 1] + [1] * (m - 1)),
         lambda m: np.array([3] + [0] * (m - 2) + [10**5]),
-        # with the +1 below, one play of 1,009 on set 0: it snaps to 1 only from
-        # q = 505 on, and as set 1 holds every other label, the lower bound
-        # 1/505 lies in the last block
-        lambda m: np.array([0, 1008] + [0] * (m - 2)),
+        # with the +1 below, one play of 1,009 on set 0: it snaps to 1 only
+        # from q = 505 on, though the uniform weighting of sets 0 and 1 wins;
+        # the column players of the wider shapes win in their last block
+        lambda m: LAST_BLOCK_COLUMN_COUNTS.get(m, np.array([0, 1008] + [0] * (m - 2))),
     ):
         row_counts = counts_of(sets).astype(np.int64)
         col_counts = counts_of(labels).astype(np.int64)
@@ -290,8 +344,9 @@ def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
         # starting from a bound already reached folds nothing in
         assert accel._snap_checkpoint(row_counts, row_k, M, *low, *row_trivial) == low
         assert accel._snap_checkpoint(col_counts, col_k, neg_T, *up, *col_trivial) == up
-        last_q = max(last_q, low[1])
-    assert last_q > (accel.SNAP_QMAX - 1) // block * block  # a q of the last block won
+        last_block_won |= (won_in_last_block(row_counts, M, row_start, low)
+                           or won_in_last_block(col_counts, neg_T, col_start, up))
+    assert last_block_won  # a q of some player's last block won
 
 
 # Values taken from the per-q snapping kernel this batched one replaced.
@@ -308,19 +363,19 @@ WORKER_GOLDEN = {
 CARDINALITY_GOLDEN = {
     (9, 4, 3): ["0", "1", 3, False],
     (9, 4, 130): ["49/111", "4/9", 130, False],
-    (9, 4, 10**6): ["4/9", "4/9", 512, True],
-    (11, 3, 10**6): ["3/11", "3/11", 1024, True],
-    (11, 4, 10**6): ["4/11", "4/11", 4096, True],
+    (9, 4, 10**6): ["4/9", "4/9", 256, True],
+    (11, 3, 10**6): ["3/11", "3/11", 512, True],
+    (11, 4, 10**6): ["4/11", "4/11", 512, True],
     (11, 5, 3): ["0", "1", 3, False],
     (11, 5, 130): ["19/43", "5/11", 130, False],
-    (11, 5, 10**6): ["5/11", "5/11", 4096, True],
-    (11, 6, 10**6): ["6/11", "6/11", 4096, True],
-    (11, 7, 10**6): ["7/11", "7/11", 2048, True],
-    (11, 8, 10**6): ["8/11", "8/11", 1024, True],
-    (12, 5, 10**6): ["5/12", "5/12", 8192, True],
-    (12, 6, 10**6): ["1/2", "1/2", 4096, True],
-    (12, 7, 10**6): ["7/12", "7/12", 8192, True],
-    (13, 7, 10**6): ["7/13", "7/13", 16384, True],
+    (11, 5, 10**6): ["5/11", "5/11", 1024, True],
+    (11, 6, 10**6): ["6/11", "6/11", 1024, True],
+    (11, 7, 10**6): ["7/11", "7/11", 512, True],
+    (11, 8, 10**6): ["8/11", "8/11", 256, True],
+    (12, 5, 10**6): ["5/12", "5/12", 1024, True],
+    (12, 6, 10**6): ["1/2", "1/2", 2048, True],
+    (12, 7, 10**6): ["7/12", "7/12", 1024, True],
+    (13, 7, 10**6): ["7/13", "7/13", 4096, True],
 }
 
 

@@ -56,9 +56,10 @@ def criterion(num, description):
     return deco
 
 
-@criterion(1, "exact k/n values for cardinality families, certified and closed by the oracle")
+@criterion(1, "exact k/n values for cardinality families, certified and closed by the oracle "
+              "within 4,096 plays")
 def test_criterion_1_exact_cardinality_values():
-    for n in range(1, 13):
+    for n in range(1, 14):
         for k in range(1, n + 1):
             fam = cardinality_bound_family(n, k)
             res = delta_exact(fam)
@@ -66,6 +67,7 @@ def test_criterion_1_exact_cardinality_values():
             assert verify_certificate(fam, res), (n, k)
             fp = fictitious_play(fam, FP_ITERS, EPS)
             assert fp.converged and fp.lower == fp.upper == F(k, n), (n, k)
+            assert fp.iterations <= 4096, (n, k, fp.iterations)
 
 
 @criterion(2, "strong duality and tamper rejection on the 500-family corpus")
