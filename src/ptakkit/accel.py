@@ -11,10 +11,9 @@ rational equilibria, so a snapped average typically hits one exactly and
 the bracket collapses to zero width; a player that cycles through a wide
 support plays its strategies about equally often, and the uniform candidate
 certifies that weighting however far apart its counts still are.  All
-bookkeeping is in integers (int64 arrays and Python ints); the returned
-bounds are exact integer fractions.  Floats carry only the snap products,
-whose values are small integers held exactly, and the stopping test (with a
-safety margin; the caller re-checks exactly).
+arithmetic is in integers (int64 arrays and Python ints), the snap
+products and the stopping test included; the returned bounds are exact
+integer fractions.
 
 The play loop keeps one tie key per strategy, ``pay * big - count`` for
 rows and ``pay * big + count`` for columns, where ``big`` exceeds any play
@@ -27,7 +26,7 @@ Python list (there is one per label, and few labels); the row keys, one per
 maximal set, are an int64 array updated in place by ``np.add`` and read and
 decremented one at a time through a ``memoryview``, which costs less than
 indexing the array.  The counts are the keys' low digits and are recovered
-only at checkpoints.  The float width test runs only when a bound moved.
+only at checkpoints.  The width test runs only when a bound moved.
 
 ``fp_bracket`` alternates between two parts.  A play segment runs up to the
 next checkpoint (or ``max_iters``).  A checkpoint raises a lower bound, on
@@ -53,8 +52,8 @@ opponent's best reply to the unsnapped counts is strictly above the best
 bound: the worst case is at most that payoff.
 The ``q`` go in blocks bounded by entries, not by ``q``: a block holds as
 many ``q`` as keep its class arrays and its product within ``_SNAP_ELEMS``
-entries, and is evaluated by one float64 matmul of class weights by class
-pay sums, which BLAS computes exactly (see ``SNAP_QMAX``).  The best ``q``
+entries, and is evaluated by one int64 matmul of class weights by class
+pay sums (numpy's integer matmul calls no BLAS).  The best ``q``
 is then chosen in integers: the block keeps the ``q`` whose fraction beats
 the best bound so far, and the few survivors are folded in increasing ``q``
 by the cross-multiplied test, so the first ``q`` with the strictly best
@@ -68,14 +67,10 @@ from __future__ import annotations
 from itertools import compress
 
 # Largest snap denominator tried for every player; its uniform weighting of
-# the strategies it has played is tried too, in int64, whatever their number.
-# The float64 snap product is exact: a row snapped to q has integer weights
-# summing to q, at most the number of strategies, and the payoffs are 0 or 1
-# (on M) or 0 or -1 (on -M.T), so every product and every partial sum BLAS
-# forms of class weights times class pay sums, in whatever order or blocking
-# and on however many threads, is an integer in [-q, q]; the prefix sums added
-# to it are integers no larger in size than the number of strategies.  All
-# are far below 2**53, and every rounding step is exact.
+# the strategies it has played is tried too, whatever their number.  A row
+# snapped to q has weights summing to q and every pay entry is 0 or +-1, so
+# every product entry lies in [-q, q] and every prefix entry is at most the
+# number of strategies in size: all far below 2**63.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
 _SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
@@ -103,7 +98,7 @@ def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
 
     played = np.flatnonzero(counts)  # unplayed strategies always snap to 0
     counts, pay = counts[played], pay[played]
-    # the uniform weighting of the played strategies comes first, in int64
+    # the uniform weighting of the played strategies comes first
     num = int(pay.sum(axis=0).min())
     if num * best_d > best_n * len(played):
         best_n, best_d = num, len(played)
@@ -114,13 +109,12 @@ def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
     if not len(live):
         return best_n, best_d
     reply = (counts @ pay).argmin()
-    pay = pay.astype(np.float64)
     # strategies with equal counts snap alike, so round each class once; its
     # members, in index order, have their pay rows prefix-summed, so the
     # first t members of the class starting at starts[c] pay
     # prefix[starts[c] + t] - prefix[starts[c]]
     values, cls, sizes = np.unique(counts, return_inverse=True, return_counts=True)
-    prefix = np.zeros((len(counts) + 1, pay.shape[1]))
+    prefix = np.zeros((len(counts) + 1, pay.shape[1]), np.int64)
     np.cumsum(pay[np.argsort(cls, kind="stable")], axis=0, out=prefix[1:])
     starts = np.cumsum(sizes) - sizes
     totals = prefix[starts + sizes] - prefix[starts]
@@ -142,14 +136,13 @@ def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
         first = starts[order[np.arange(len(qs)), part]]
         extra = qs - snapped @ sizes
         # the payoff against the reply bounds the worst case
-        est = (snapped @ totals[:, reply] + prefix[first + extra, reply]
-               - prefix[first, reply]).astype(np.int64)
+        est = snapped @ totals[:, reply] + prefix[first + extra, reply] - prefix[first, reply]
         keep = est * best_d > best_n * qs
         if not keep.any():
             continue
         qs, first, extra = qs[keep], first[keep], extra[keep]
         out = snapped[keep] @ totals + (prefix[first + extra] - prefix[first])
-        nums = out.min(axis=1).astype(np.int64)
+        nums = out.min(axis=1)
         better = nums * best_d > best_n * qs
         for q, num in zip(qs[better].tolist(), nums[better].tolist()):
             if num * best_d > best_n * q:
@@ -162,7 +155,8 @@ def fp_bracket(M, max_iters, eps):
 
     Row player (maximal sets) maximizes, column player (labels) minimizes.
     Returns ``(low_num, low_den, up_num, up_den, iterations)`` with the
-    bounds as exact integer fractions.
+    bounds as exact integer fractions; play stops once the width is at most
+    ``eps`` (a float, int or Fraction, compared exactly).
     """
     import numpy as np
 
@@ -175,7 +169,7 @@ def fp_bracket(M, max_iters, eps):
     col_key = [0] * M.shape[1]  # col_pay * big + col_cnt
     neg_T = -M.T  # the column player's upper bound is minus its lower bound here
     low_n, low_d, up_n, up_d = 0, 1, 1, 1
-    margin = eps * (1.0 - 1e-9)
+    eps_n, eps_d = eps.as_integer_ratio()
     next_cp = _CHECKPOINT_START
     i, k = 0, 0
     while k < max_iters:
@@ -199,14 +193,14 @@ def fp_bracket(M, max_iters, eps):
                 up_n, up_d, moved = up, k, True
             if lo * low_d > low_n * k:
                 low_n, low_d, moved = lo, k, True
-            if moved and up_n / up_d - low_n / low_d <= margin:
+            if moved and (up_n * low_d - low_n * up_d) * eps_d <= eps_n * up_d * low_d:
                 return low_n, low_d, up_n, up_d, k
         next_cp *= 2
         low_n, low_d = _snap_checkpoint(-row_key % big, k, M, low_n, low_d, up_n, up_d)
         up_n, up_d = _snap_checkpoint(np.array(col_key, np.int64) % big, k, neg_T,
                                       -up_n, up_d, -low_n, low_d)
         up_n = -up_n
-        if up_n / up_d - low_n / low_d <= margin:
+        if (up_n * low_d - low_n * up_d) * eps_d <= eps_n * up_d * low_d:
             break
     return low_n, low_d, up_n, up_d, k
 

@@ -3,8 +3,8 @@
 The value is the minimum, over probability weightings of the ground set, of
 the largest total weight carried by a single family member; equivalently (LP
 duality) the best guaranteed coverage of a probability weighting of the
-maximal sets.  Everything here is exact rational; the only floats live in
-the independent fictitious-play oracle.
+maximal sets.  Everything here is exact rational or integer, the
+independent fictitious-play oracle included.
 """
 
 from __future__ import annotations
@@ -354,9 +354,7 @@ def fictitious_play(fam: HereditaryFamily, max_iters: int,
     if not fam.maximal:
         return FictitiousPlayResult(lower=ZERO, upper=ZERO, iterations=0, converged=True)
     M = incidence_matrix(fam)
-    # the width never exceeds 1, so every epsilon >= 2 stops alike; clamping
-    # first keeps float() from overflowing on a huge one
-    lo_n, lo_d, up_n, up_d, iters = accel.fp_bracket(M, max_iters, float(min(epsilon, 2)))
+    lo_n, lo_d, up_n, up_d, iters = accel.fp_bracket(M, max_iters, epsilon)
     lower = Fraction(int(lo_n), int(lo_d))
     upper = Fraction(int(up_n), int(up_d))
     converged = (upper - lower) <= epsilon

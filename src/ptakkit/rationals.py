@@ -49,12 +49,15 @@ def parse_rational(text: str) -> Fraction:
     exponents included (``"1e30000000"`` would make ``Fraction`` build a
     number of thirty million digits)."""
     text = text.strip()
+    quoted = repr(text) if len(text) <= 40 else f"{text[:16]!r}... ({len(text)} characters)"
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r}: expected p or p/q in decimal digits")
+        raise ValueError(f"malformed rational {quoted}: expected p or p/q in decimal digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}: {exc}") from None
+    except ValueError:  # the text matched, so only int()'s limit on digits is left
+        raise ValueError(f"malformed rational {quoted}: too many digits") from None
+    except ZeroDivisionError:
+        raise ValueError(f"malformed rational {quoted}: zero denominator") from None
 
 
 def scaled_ints(values) -> tuple[list[int], int]:

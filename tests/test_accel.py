@@ -124,9 +124,9 @@ def uniform_candidate(counts, pay):
 
 def full_fold(counts, k, pay, best_n, best_d):
     """The unpruned fold: the uniform candidate, then the snap to every q up
-    to SNAP_QMAX in increasing order, each evaluated by an int64 matmul (the
-    reference for the float64 one); a candidate replaces the best only when
-    it is strictly better."""
+    to SNAP_QMAX in increasing order, each evaluated by one per-strategy
+    int64 matmul (the reference for the kernel's class products); a
+    candidate replaces the best only when it is strictly better."""
     qs = np.arange(1, accel.SNAP_QMAX + 1, dtype=np.int64)
     out = snapped_counts(counts, k, qs) @ pay
     for num, q in [uniform_candidate(counts, pay), *zip(out.min(axis=1).tolist(), qs.tolist())]:
@@ -216,9 +216,9 @@ def check_uniform_candidate_wins(counts, k, pay, start, trivial, value):
     support = int(np.count_nonzero(counts))
     assert support > accel.SNAP_QMAX
     want = full_fold(counts, k, pay, *start)
-    # the uniform candidate wins with the exact value, and the float64
-    # product, pruned by the opposite bound (the value or a looser one) or
-    # not, agrees
+    # the uniform candidate wins with the exact value, and the kernel,
+    # pruned by the opposite bound (the value or a looser one) or not,
+    # agrees
     assert want == uniform_candidate(counts, pay) and Fraction(*want) == value
     assert accel._snap_checkpoint(counts, k, pay, *start, *trivial) == want
     for other in (value, (value + Fraction(*trivial)) / 2):
@@ -308,7 +308,7 @@ def won_in_last_block(counts, pay, start, got):
 
 
 @pytest.mark.parametrize("sets, labels, blocks", SNAP_SHAPES)
-def test_float_checkpoint_matches_int64_full_fold(sets, labels, blocks):
+def test_checkpoint_matches_full_fold(sets, labels, blocks):
     block = accel._SNAP_ELEMS // max(sets, labels)
     assert -(-accel.SNAP_QMAX // block) == blocks
     rng = np.random.default_rng(sets * 1000 + labels)
@@ -398,8 +398,21 @@ def test_cardinality_families_match_golden(n, k, max_iters):
 
 def test_worker_families_stop_after_one_play_at_epsilon_2():
     # the bracket is at most 1 wide, so epsilon 2 stops at the first test;
-    # 10**400, too large for a float, stops there too
+    # 10**400, compared exactly, stops there too
     for epsilon in (Fraction(2), Fraction(10**400)):
         got = [summary(random_family(seed, n=None, max_sets=25), 10**6, epsilon)
                for seed in range(8)]
         assert got == [[lo, up, 1, True] for lo, up, _, _ in WORKER_GOLDEN[1]]
+
+
+@pytest.mark.parametrize("n, k, eps, want", [
+    (3, 1, Fraction(1, 2), (0, 1, 1, 2, 2)),  # [0, 1/2] after two plays
+    (4, 2, Fraction(1, 10), (3, 6, 3, 5, 6)),  # [1/2, 3/5] after six plays
+])
+def test_play_stops_where_the_width_first_equals_epsilon(n, k, eps, want):
+    fam = cardinality_bound_family(n, k)
+    M = incidence_matrix(fam)
+    assert accel.fp_bracket(M, 10**6, eps) == accel.fp_bracket(M, 10**6, float(eps)) == want
+    r = fictitious_play(fam, 10**6, eps)
+    assert (r.lower, r.upper, r.iterations) == (Fraction(*want[:2]), Fraction(*want[2:4]), want[4])
+    assert r.upper - r.lower == eps and r.converged

@@ -416,6 +416,15 @@ def test_rational_with_exponent_decimal_point_or_underscore_exit_2(
     assert rc == 2 and str(vec) in err and coord in err
 
 
+def test_long_rational_in_vector_exit_2_with_a_short_message(family_file, tmp_path, capsys):
+    # a 100,000-digit coordinate is quoted by its start and its length
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"coords": ["1" * 10**5, "1/1", "1/1", "1/1", "1/1"]}))
+    rc, _, err = run(capsys, "norm", "--family", str(family_file), "--vector", str(vec))
+    assert rc == 2 and err.count("\n") == 1 and str(vec) in err
+    assert "100000 characters" in err and len(err.encode()) < 300
+
+
 def test_float_in_certificate_exit_2(family_file, tmp_path, capsys):
     _, out, _ = run(capsys, "delta", "--family", str(family_file))
     payload = report_of(out)["certificate"]
