@@ -291,10 +291,10 @@ def maximal_up_set(fam: HereditaryFamily, members: ElementSet) -> list[tuple[int
     For a maximal member the result is the singleton ``[member]``.
     """
     m = normalize_set(members, fam.n)
-    if not membership(fam, m):
-        raise ValueError(f"{m} is not a member of the family")
     mmask = set_mask(m)
     above = [fmask for fmask in fam.masks if not mmask & ~fmask]
+    if m and not above:
+        raise ValueError(f"{m} is not a member of the family")
     _check_enumeration(sum(1 << (f & ~mmask).bit_count() for f in above), "maximal_up_set")
     found = {m}  # no maximal set holds () when the antichain is empty
     for fmask in above:
@@ -413,10 +413,11 @@ def _bron_kerbosch(n: int, adj: Sequence[int]) -> HereditaryFamily:
                 raise ValueError(f"Bron-Kerbosch found more than ENUMERATION_LIMIT = "
                                  f"{ENUMERATION_LIMIT} maximal cliques")
             continue
-        # pivot: vertex of P|X with most neighbours in P, smallest label on ties
+        # pivot: vertex of P|X with most neighbours in P, smallest label on ties;
+        # none has more than cap (|P| - 1, or |P| if X is nonempty), so stop there
         best, best_deg = -1, -1
-        pool = p | x
-        while pool:
+        pool, cap = p | x, p.bit_count() - (x == 0)
+        while pool and best_deg < cap:
             low = pool & -pool
             u = low.bit_length() - 1
             deg = (p & adj[u]).bit_count()

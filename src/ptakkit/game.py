@@ -155,13 +155,11 @@ class _PackedWeights:
         k = self.width // 64  # words per field
         self.packed = int.from_bytes(_packed_rows(self.masks, k), "little")
         self.ones = int.from_bytes((b"\1" + bytes(8 * k - 1)) * len(self.masks), "little")
-        self.zero = array("Q", bytes(8 * k))
         self.columns = [None] * self.n
 
-    def heaviest(self, x: list[int], active) -> tuple[int, int]:
-        """The largest weight of a set whose index is not in ``active``, and
-        the lowest index holding it; the weights ``x`` must be nonnegative.
-        Active sets count as weighing 0."""
+    def heaviest(self, x: list[int]) -> tuple[int, int]:
+        """The largest weight of a set and the lowest index holding it; the
+        weights ``x`` must be nonnegative."""
         bits = sum(x).bit_length()
         if bits > self.width:  # a field would carry into the next: widen
             self._build(bits)
@@ -175,9 +173,6 @@ class _PackedWeights:
         words = array("Q", packed.to_bytes(k * 8 * len(self.masks), "little"))
         if _BIG_ENDIAN:
             words.byteswap()
-        zero = self.zero
-        for idx in active:
-            words[idx * k:(idx + 1) * k] = zero
         # no weight exceeds the total, so below 2**64 every field's weight is
         # its lowest word, compared at C speed
         top = max(bits - 1, 0) // 64
@@ -253,9 +248,10 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         nums, den = [v // g for v in res.x_num], res.den // g
         total = sum(nums)
 
-        # the heaviest inactive set, lowest index on ties, is violated when it
-        # weighs more than delta * total
-        worst, idx = pricing.heaviest(nums, active)
+        # the heaviest set, lowest index on ties, is violated when it weighs
+        # more than delta * total.  Every LP row holds at the optimum, so its
+        # set weighs at most den - total: pricing needs no mask of the rows
+        worst, idx = pricing.heaviest(nums)
         if worst <= den - total:
             # mu = duals / objective, where objective = 1/(delta+1) > 0; the
             # duals and the objective share the denominator den

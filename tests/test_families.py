@@ -457,6 +457,8 @@ def test_generators_equal_closure_of_their_sets():
 
 
 def test_maximal_cliques_match_networkx():
+    """Also the cliques and independent sets of dense and complete graphs,
+    where the pivot scan stops at a vertex adjacent to every other candidate."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(23)
     graphs = [(n, cycle_edges(n)) for n in range(3, 21)]
@@ -471,6 +473,17 @@ def test_maximal_cliques_match_networkx():
         g.add_edges_from(edges)
         expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
         assert list(maximal_cliques(n, edges).maximal) == expected, (n, edges)
+    for _ in range(30):
+        n = rng.randint(10, 32)
+        p = rng.choice((0.85, 0.95, 1.0))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        for fam, graph in ((maximal_cliques(n, edges), g),
+                           (maximal_independent_sets(n, edges), nx.complement(g))):
+            expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
+            assert list(fam.maximal) == expected, (n, edges)
 
 
 def test_enumerators_refuse_oversized_inputs():
@@ -490,6 +503,15 @@ def test_bron_kerbosch_refuses_more_than_limit(monkeypatch):
     with pytest.raises(ValueError, match="ENUMERATION_LIMIT = 100"):
         maximal_cliques(30, complement)
     assert len(maximal_independent_sets(12, cycle_edges(12)).maximal) == 29
+
+
+def test_independent_sets_of_an_edgeless_graph_in_under_a_second():
+    # one maximal set, found down a path of 5,000 nodes: unless each pivot
+    # scan stops at its first vertex, the search is cubic in n
+    start = time.perf_counter()
+    fam = maximal_independent_sets(5000, [])
+    assert time.perf_counter() - start < 1
+    assert fam.maximal == (tuple(range(5000)),)
 
 
 def test_realize_errors():
@@ -605,6 +627,8 @@ def test_up_set_requires_member():
     fam = hereditary_closure([{0, 1}], 3)
     with pytest.raises(ValueError):
         maximal_up_set(fam, {2})
+    with pytest.raises(ValueError, match="not a member"):
+        maximal_up_set(hereditary_closure([], 3), {0})
 
 
 # --- is_full_powerset -------------------------------------------------------------

@@ -274,8 +274,9 @@ def test_delta_deterministic():
 
 def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
     """delta_exact starts from the first longest maximal set, and each round
-    adds the inactive set of largest weight under the current mean, the
-    lowest index among ties."""
+    adds the set of largest weight under the current mean, the lowest index
+    among ties.  That set is never a row already: every row holds, so its set
+    weighs at most the value, which the added set exceeds."""
     solves = []
     solve = ptakkit.game.solve_max_slack
 
@@ -299,10 +300,11 @@ def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
         for (rows, x), (next_rows, _) in zip(solves, solves[1:]):
             assert next_rows[:-1] == rows
             weights = [sum((x[s] for s in fset), F(0)) for fset in fam.maximal]
-            inactive = [j for j, fset in enumerate(fam.maximal) if fset not in rows]
-            heaviest = max(weights[j] for j in inactive)
-            tied = [j for j in inactive if weights[j] == heaviest]
+            assert all(weights[fam.maximal.index(r)] <= 1 - sum(x) for r in rows)
+            heaviest = max(weights)
+            tied = [j for j, w in enumerate(weights) if w == heaviest]
             assert fam.maximal.index(next_rows[-1]) == tied[0]
+            assert next_rows[-1] not in rows
             ties += len(tied) > 1
         # no set outweighs the value under the final mean x / sum(x)
         x = solves[-1][1]
@@ -313,18 +315,17 @@ def test_row_generation_adds_lowest_index_heaviest_row(corpus, monkeypatch):
 
 # --- packed pricing -------------------------------------------------------------
 
-def fraction_heaviest(fam, x, active):
-    """Reference: Fraction weights, active sets as 0, the first of the largest."""
-    weights = [F(0) if i in active else sum((x[s] for s in fset), F(0))
-               for i, fset in enumerate(fam.maximal)]
+def fraction_heaviest(fam, x):
+    """Reference: Fraction weights, the first of the largest."""
+    weights = [sum((x[s] for s in fset), F(0)) for fset in fam.maximal]
     best = max(weights)
     return best, weights.index(best)
 
 
-def check_pricing(fam, nums, active, pricing=None):
+def check_pricing(fam, nums, pricing=None):
     pricing = pricing or _PackedWeights(fam)
-    got = pricing.heaviest(nums, active)
-    assert got == fraction_heaviest(fam, [F(v) for v in nums], set(active))
+    got = pricing.heaviest(nums)
+    assert got == fraction_heaviest(fam, [F(v) for v in nums])
     assert pricing.width % 64 == 0 and pricing.width >= fam.n
     assert sum(nums) < 2 ** pricing.width
     return got
@@ -343,8 +344,7 @@ def test_packed_pricing_on_wide_ground_sets():
         pricing = _PackedWeights(fam)
         words.add(pricing.width // 64)
         for bits in (3, 40, 70):
-            active = rng.sample(range(len(fam.maximal)), rng.randint(0, len(fam.maximal) // 2))
-            check_pricing(fam, random_nums(rng, fam.n, bits), active, pricing)
+            check_pricing(fam, random_nums(rng, fam.n, bits), pricing)
     assert words >= {2, 3, 4}
 
 
@@ -359,7 +359,7 @@ def test_packed_pricing_widens_for_large_weights(bits):
         before = pricing.width
         for _ in range(5):
             nums = [2 ** bits + rng.randrange(2 ** (bits - 2)) for _ in range(fam.n)]
-            check_pricing(fam, nums, rng.sample(range(len(fam.maximal)), 3), pricing)
+            check_pricing(fam, nums, pricing)
         assert (pricing.width > before) == (bits >= before)
         widened += pricing.width > before
     assert widened
@@ -368,22 +368,12 @@ def test_packed_pricing_widens_for_large_weights(bits):
 @pytest.mark.parametrize("n, k, scale", [(6, 3, 1), (14, 7, 1), (6, 3, 2 ** 70),
                                          (70, 1, 1), (70, 1, 2 ** 130)])
 def test_packed_pricing_ties_go_to_the_lowest_index(n, k, scale):
-    """Under the uniform mean every set of C(n, k) weighs the same: the first
-    inactive set wins, in one-word and in multiword fields."""
+    """Under the uniform mean, and under all-zero weights, every set of
+    C(n, k) weighs the same: the first set wins, in one-word and in multiword
+    fields."""
     fam = cardinality_bound_family(n, k)
-    nums = [scale] * n
-    for active in ([], [0], [0, 1, 2], [1, 3]):
-        weight, idx = check_pricing(fam, nums, active)
-        assert weight == k * scale
-        assert idx == min(set(range(len(fam.maximal))) - set(active))
-
-
-@pytest.mark.parametrize("fam", [cardinality_bound_family(5, 2), random_family(2, n=90, max_sets=12),
-                                 hereditary_closure([{0}], 1)])
-def test_packed_pricing_with_every_set_active(fam):
-    nums = [1 + s for s in range(fam.n)]
-    assert check_pricing(fam, nums, range(len(fam.maximal))) == (0, 0)
-    assert check_pricing(fam, [0] * fam.n, []) == (0, 0)
+    assert check_pricing(fam, [scale] * n) == (k * scale, 0)
+    assert check_pricing(fam, [0] * n) == (0, 0)
 
 
 # --- verify_certificate ---------------------------------------------------------
