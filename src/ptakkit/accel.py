@@ -50,14 +50,18 @@ prefix-summed, so that any leading run of them is one row difference.
 Before the product, a ``q`` is dropped unless its payoff against the
 opponent's best reply to the unsnapped counts is strictly above the best
 bound: the worst case is at most that payoff.
-The ``q`` go in blocks bounded by entries, not by ``q``: a block holds as
-many ``q`` as keep its class arrays and its product within ``_SNAP_ELEMS``
-entries, and is evaluated by one int64 matmul of class weights by class
-pay sums (numpy's integer matmul calls no BLAS).  The best ``q``
-is then chosen in integers: the block keeps the ``q`` whose fraction beats
-the best bound so far, and the few survivors are folded in increasing ``q``
-by the cross-multiplied test, so the first ``q`` with the strictly best
-fraction wins, as in a full scan.
+The ``q`` go in blocks bounded by entries, not by ``q``, of two sizes.  The
+live ``q`` are rounded and filtered in blocks of ``_SNAP_ELEMS // classes``,
+which keeps each class array within ``_SNAP_ELEMS`` entries; on C(11, ·)
+and C(12, 7) that is one block.  The filter keeps few of them, and only
+those are multiplied, in blocks of ``_SNAP_ELEMS // max(classes, width)``
+within each rounding block, so a product is within ``_SNAP_ELEMS`` entries
+too; each is one int64 matmul of class weights by class pay sums (numpy's
+integer matmul calls no BLAS).  The best ``q`` is then chosen in integers:
+a product block keeps the ``q`` whose fraction beats the best bound so far,
+and the few survivors are folded in increasing ``q`` by the cross-multiplied
+test, so the first ``q`` with the strictly best fraction wins, as in a full
+scan.
 numpy is imported inside the functions that use it, so importing the package
 does not load it.
 """
@@ -73,7 +77,7 @@ from itertools import compress
 # number of strategies in size: all far below 2**63.
 SNAP_QMAX = 512
 _CHECKPOINT_START = 128
-_SNAP_ELEMS = 1 << 14  # entries per snapped block and per block product
+_SNAP_ELEMS = 1 << 14  # entries per class array of a rounding block and per product
 
 
 def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
@@ -118,7 +122,8 @@ def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
     np.cumsum(pay[np.argsort(cls, kind="stable")], axis=0, out=prefix[1:])
     starts = np.cumsum(sizes) - sizes
     totals = prefix[starts + sizes] - prefix[starts]
-    block = max(1, _SNAP_ELEMS // max(len(values), pay.shape[1]))
+    block = max(1, _SNAP_ELEMS // len(values))  # live q rounded at once
+    step = max(1, _SNAP_ELEMS // max(len(values), pay.shape[1]))  # kept q multiplied at once
     for b in range(0, len(live), block):
         qs = live[b:b + block]
         snapped, rem = np.divmod(values[None, :] * qs[:, None], k)
@@ -138,15 +143,15 @@ def _snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d):
         # the payoff against the reply bounds the worst case
         est = snapped @ totals[:, reply] + prefix[first + extra, reply] - prefix[first, reply]
         keep = est * best_d > best_n * qs
-        if not keep.any():
-            continue
-        qs, first, extra = qs[keep], first[keep], extra[keep]
-        out = snapped[keep] @ totals + (prefix[first + extra] - prefix[first])
-        nums = out.min(axis=1)
-        better = nums * best_d > best_n * qs
-        for q, num in zip(qs[better].tolist(), nums[better].tolist()):
-            if num * best_d > best_n * q:
-                best_n, best_d = num, q
+        qs, snapped, first, extra = qs[keep], snapped[keep], first[keep], extra[keep]
+        for s in range(0, len(qs), step):
+            t = slice(s, s + step)
+            out = snapped[t] @ totals + (prefix[first[t] + extra[t]] - prefix[first[t]])
+            nums = out.min(axis=1)
+            better = nums * best_d > best_n * qs[t]
+            for q, num in zip(qs[t][better].tolist(), nums[better].tolist()):
+                if num * best_d > best_n * q:
+                    best_n, best_d = num, q
     return best_n, best_d
 
 

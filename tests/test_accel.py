@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -135,35 +136,53 @@ def full_fold(counts, k, pay, best_n, best_d):
     return best_n, best_d
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_pruned_checkpoint_matches_full_fold(seed, monkeypatch):
+def checkpoint_calls(M, max_iters, eps):
+    """``fp_bracket(M, max_iters, eps)`` and the arguments of every
+    checkpoint it made, in order."""
+    calls = []
+    real = accel._snap_checkpoint
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
+        got = accel.fp_bracket(M, max_iters, eps)
+    return got, calls
+
+
+def drawn_calls(seed):
+    """Checkpoint calls on ``random_family(seed, n=None, max_sets=25)``: four
+    draws of counts per player, each with two opposite bounds (the value
+    itself, and a looser valid one) and with the bracket closed at the
+    value.  Returns the family's incidence matrix, the open calls and the
+    closed ones."""
     fam = random_family(seed, n=None, max_sets=25)
     M = incidence_matrix(fam)
     delta = delta_exact(fam).delta
     rng = np.random.default_rng(seed)
+    drawn, closed = [], []
     for _ in range(4):
         for (pay, start, trivial), value in zip(games(M), (delta, -delta)):
             counts = rng.integers(0, 30, size=pay.shape[0]).astype(np.int64)
             counts[0] += 1
             k = int(counts.sum())
-            # opposite bounds: the value itself, and a looser valid one
             for other in (value, (value + Fraction(*trivial)) / 2):
-                got = accel._snap_checkpoint(counts, k, pay, *start,
-                                             other.numerator, other.denominator)
-                assert got == full_fold(counts, k, pay, *start)
-            # a closed bracket leaves no q to snap
+                drawn.append((counts, k, pay, *start, other.numerator, other.denominator))
             bound = value.numerator, value.denominator
-            assert accel._snap_checkpoint(counts, k, pay, *bound, *bound) == bound
+            closed.append((counts, k, pay, *bound, *bound))
+    return M, drawn, closed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pruned_checkpoint_matches_full_fold(seed):
+    M, drawn, closed = drawn_calls(seed)
+    for call in drawn:
+        assert accel._snap_checkpoint(*call) == full_fold(*call[:5])
+    # a closed bracket leaves no q to snap
+    for call in closed:
+        assert accel._snap_checkpoint(*call) == call[3:5]
     # the states fp_bracket checkpoints, whose bounds let the opponent's
     # best reply discard q that the opposite bound keeps
-    calls = []
-    with monkeypatch.context() as patch:
-        real = accel._snap_checkpoint
-        patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
-        accel.fp_bracket(M, 10**4, 1e-6)
-    for counts, k, pay, best_n, best_d, other_n, other_d in calls:
-        got = accel._snap_checkpoint(counts, k, pay, best_n, best_d, other_n, other_d)
-        assert got == full_fold(counts, k, pay, best_n, best_d)
+    _, calls = checkpoint_calls(M, 10**4, 1e-6)
+    for call in calls:
+        assert accel._snap_checkpoint(*call) == full_fold(*call[:5])
     assert not calls or max(reply_discards(*call) for call in calls) > 0
 
 
@@ -240,15 +259,12 @@ def test_near_uniform_counts_snap_to_their_support_size(n, k, row):
     check_uniform_candidate_wins(counts, int(counts.sum()), pay, start, trivial, value)
 
 
-def test_c12_7_closes_on_the_uniform_candidate_at_1024(monkeypatch):
+def test_c12_7_closes_on_the_uniform_candidate_at_1024():
     # fp_bracket closes C(12,7) at its k = 1,024 checkpoint, where the row
     # player has played all 792 sets, 1 to 7 times each
     M = incidence_matrix(cardinality_bound_family(12, 7))
-    calls = []
-    with monkeypatch.context() as patch:
-        real = accel._snap_checkpoint
-        patch.setattr(accel, "_snap_checkpoint", lambda *a: calls.append(a) or real(*a))
-        assert accel.fp_bracket(M, 10**6, 1e-6) == (462, 792, 14, 24, 1024)
+    got, calls = checkpoint_calls(M, 10**6, 1e-6)
+    assert got == (462, 792, 14, 24, 1024)
     assert max(a[1] for a in calls) == 1024
     (state,) = [a[:5] for a in calls if a[1] == 1024 and a[2] is M]
     counts, k, pay, best_n, best_d = state
@@ -278,18 +294,21 @@ def test_uniform_candidate_wins_where_no_snap_can():
     assert got == (-4, 8) == full_fold(col, int(col.sum()), -M.T, -1, 1)
 
 
-# (sets, labels, blocks of q for the row player): every q in one block, two
-# blocks of 303 and 209, and 37 blocks of 14 (the last holding 8) for more
-# than _SNAP_ELEMS // 16 labels
+# (sets, labels, blocks): the most rounding blocks of q that one checkpoint
+# below forms from trivial opposite bounds, and the most product blocks.
+# Every q in one block of each; two of each, for 54 labels (51 count
+# classes round in blocks of 321, and 503 kept q multiply in blocks of 303);
+# and 37 of each, for more than _SNAP_ELEMS // 16 labels (1,124 classes
+# round in blocks of 14, and 510 kept q multiply in blocks of 14)
 SNAP_SHAPES = [(5, 3, 1), (7, accel._SNAP_ELEMS // 512, 1), (9, accel._SNAP_ELEMS // 300, 2),
                (6, accel._SNAP_ELEMS // 16 + 100, 37)]
 
-# Column counts of the two shapes with more than one block whose best snap
-# lies in the last block, once the test adds its +1 to the first: 51 count
-# classes of 54 labels make blocks of 321, and 1,124 classes blocks of 14.
-# No search found such counts for the row players of at most 9 sets, whose
-# uniform candidate certifies at least 1/9 whenever a snap certifies more
-# than 0.
+# Column counts of the two shapes with more than one rounding block whose
+# best snap lies in the last block, once the test adds its +1 to the first:
+# 51 count classes of 54 labels round in blocks of 321, and 1,124 classes in
+# blocks of 14.  No search found such counts for the row players of at most
+# 9 sets, whose uniform candidate certifies at least 1/9 whenever a snap
+# certifies more than 0.
 LAST_BLOCK_COLUMN_COUNTS = {
     54: np.array([118, 796, 21, 52, 430, 185, 71, 46, 289, 225, 159, 337, 327, 230, 36, 149,
                   122, 111, 116, 27, 76, 52, 387, 182, 603, 550, 151, 43, 82, 301, 249, 146,
@@ -299,23 +318,14 @@ LAST_BLOCK_COLUMN_COUNTS = {
 }
 
 
-def won_in_last_block(counts, pay, start, got):
-    """Whether ``got``, a checkpoint's fold from ``start``, is a snap from the
-    last of the blocks the kernel splits 1..SNAP_QMAX into for these counts."""
-    block = accel._SNAP_ELEMS // max(len(np.unique(counts[counts > 0])), pay.shape[1])
-    return (got not in (start, uniform_candidate(counts, pay))
-            and (accel.SNAP_QMAX - 1) // block * block < got[1] <= accel.SNAP_QMAX)
-
-
-@pytest.mark.parametrize("sets, labels, blocks", SNAP_SHAPES)
-def test_checkpoint_matches_full_fold(sets, labels, blocks):
-    block = accel._SNAP_ELEMS // max(sets, labels)
-    assert -(-accel.SNAP_QMAX // block) == blocks
+def shape_counts(sets, labels):
+    """The game of a SNAP_SHAPES shape and the (row, column) counts that its
+    test checkpoints."""
     rng = np.random.default_rng(sets * 1000 + labels)
     M = (rng.random((sets, labels)) < 0.5).astype(np.int64)
     M[1] = 1 - M[0]  # set 1 holds exactly the labels set 0 lacks
     M[:, 0] = 1  # and label 0 is in every set
-    last_block_won = False
+    pairs = []
     for counts_of in (
         lambda m: rng.integers(0, 50, size=m),
         # one strategy holds nearly all counts: at q = 512 it snaps to 511 or 512
@@ -325,13 +335,57 @@ def test_checkpoint_matches_full_fold(sets, labels, blocks):
         # from q = 505 on, though the uniform weighting of sets 0 and 1 wins;
         # the column players of the wider shapes win in their last block
         lambda m: LAST_BLOCK_COLUMN_COUNTS.get(m, np.array([0, 1008] + [0] * (m - 2))),
+        # the row player of 1,124 labels keeps 510 of the 512 q
+        lambda m: np.arange(m, 0, -1) * 7 % 50,
     ):
         row_counts = counts_of(sets).astype(np.int64)
         col_counts = counts_of(labels).astype(np.int64)
         row_counts[0] += 1
         col_counts[0] += 1
+        pairs.append((row_counts, col_counts))
+    return M, pairs
+
+
+def snap_blocks(counts, k, pay, best_n, best_d, other_n, other_d):
+    """The blocks of q a checkpoint forms, from the per-strategy reference:
+    the live q in rounding blocks of ``_SNAP_ELEMS // classes``, and within
+    each, the q whose payoff against the reply beats the best bound as it
+    stood when the block began, in product blocks of
+    ``_SNAP_ELEMS // max(classes, width)``.  One list of product blocks per
+    rounding block."""
+    classes = len(np.unique(counts[counts > 0]))
+    block = max(1, accel._SNAP_ELEMS // classes)
+    step = max(1, accel._SNAP_ELEMS // max(classes, pay.shape[1]))
+    best = max(Fraction(best_n, best_d), Fraction(*uniform_candidate(counts, pay)))
+    other = Fraction(other_n, other_d)
+    live = [q for q in range(1, accel.SNAP_QMAX + 1) if Fraction(math.floor(other * q), q) > best]
+    reply = (counts @ pay).argmin()
+    blocks = []
+    for b in range(0, len(live), block):
+        qs = np.array(live[b:b + block], dtype=np.int64)
+        snapped = snapped_counts(counts, k, qs)
+        kept = qs[snapped @ pay[:, reply] * best.denominator > best.numerator * qs].tolist()
+        blocks.append([kept[s:s + step] for s in range(0, len(kept), step)])
+        best = max(best, *(Fraction(num, q) for num, q in
+                           zip((snapped @ pay).min(axis=1).tolist(), qs.tolist())))
+    return blocks
+
+
+def won_in_last_block(blocks, counts, pay, start, got):
+    """Whether ``got``, a checkpoint's fold from ``start``, is a snap from the
+    last product block of the last rounding block in ``blocks``."""
+    last = blocks[-1][-1] if blocks and blocks[-1] else []
+    return got not in (start, uniform_candidate(counts, pay)) and got[1] in last
+
+
+@pytest.mark.parametrize("sets, labels, blocks", SNAP_SHAPES)
+def test_checkpoint_matches_full_fold(sets, labels, blocks):
+    M, pairs = shape_counts(sets, labels)
+    (_, row_start, row_trivial), (neg_T, col_start, col_trivial) = games(M)
+    last_block_won = False
+    most_rounds = most_products = 0
+    for row_counts, col_counts in pairs:
         row_k, col_k = int(row_counts.sum()), int(col_counts.sum())
-        (_, row_start, row_trivial), (neg_T, col_start, col_trivial) = games(M)
         low = full_fold(row_counts, row_k, M, *row_start)
         # minus the column player's upper bound
         up = full_fold(col_counts, col_k, neg_T, *col_start)
@@ -344,9 +398,70 @@ def test_checkpoint_matches_full_fold(sets, labels, blocks):
         # starting from a bound already reached folds nothing in
         assert accel._snap_checkpoint(row_counts, row_k, M, *low, *row_trivial) == low
         assert accel._snap_checkpoint(col_counts, col_k, neg_T, *up, *col_trivial) == up
-        last_block_won |= (won_in_last_block(row_counts, M, row_start, low)
-                           or won_in_last_block(col_counts, neg_T, col_start, up))
+        for counts, k, pay, start, trivial, got in (
+                (row_counts, row_k, M, row_start, row_trivial, low),
+                (col_counts, col_k, neg_T, col_start, col_trivial, up)):
+            formed = snap_blocks(counts, k, pay, *start, *trivial)
+            most_rounds = max(most_rounds, len(formed))
+            most_products = max(most_products, sum(map(len, formed)))
+            last_block_won |= won_in_last_block(formed, counts, pay, start, got)
+    assert (most_rounds, most_products) == (blocks, blocks)
     assert last_block_won  # a q of some player's last block won
+
+
+# the benchmark's oracle games, whose pass makes 46 checkpoints
+ORACLE_GAMES = [(11, k) for k in range(3, 9)] + [(12, 7)]
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """Checkpoint calls with their results at the default ``_SNAP_ELEMS``:
+    the states of an oracle pass, the counts of every SNAP_SHAPES shape from
+    trivial opposite bounds, and the 12 random families' states; and the
+    brackets of C(11,5) and C(12,7)."""
+    calls = []
+    for n, k in ORACLE_GAMES:
+        calls += checkpoint_calls(incidence_matrix(cardinality_bound_family(n, k)),
+                                  10**6, Fraction(1, 10**6))[1]
+    assert len(calls) == 46
+    for sets, labels, _ in SNAP_SHAPES:
+        M, pairs = shape_counts(sets, labels)
+        for counts_pair in pairs:
+            for counts, (pay, start, trivial) in zip(counts_pair, games(M)):
+                calls.append((counts, int(counts.sum()), pay, *start, *trivial))
+    for seed in range(12):
+        M, drawn, closed = drawn_calls(seed)
+        calls += drawn + closed + checkpoint_calls(M, 10**4, 1e-6)[1]
+    matrices = [incidence_matrix(cardinality_bound_family(n, k)) for n, k in ((11, 5), (12, 7))]
+    return ([(call, accel._snap_checkpoint(*call)) for call in calls],
+            [(M, accel.fp_bracket(M, 10**6, 1e-6)) for M in matrices])
+
+
+@pytest.mark.parametrize("elems", [1, 37, 1024])
+def test_checkpoints_do_not_depend_on_the_block_size(elems, block_cases, monkeypatch):
+    # one q per block, rounding and product blocks that do not divide 512,
+    # and several product blocks within each rounding block
+    calls, brackets = block_cases
+    monkeypatch.setattr(accel, "_SNAP_ELEMS", elems)
+    for call, want in calls:
+        assert accel._snap_checkpoint(*call) == want
+    for M, want in brackets:
+        assert accel.fp_bracket(M, 10**6, 1e-6) == want
+
+
+def test_checkpoint_memory_is_bounded_by_the_blocks():
+    # 4,096 strategies with all-distinct counts round 4 q per block; the
+    # rounding of all 512 q at once would take 16 MiB per array
+    rng = np.random.default_rng(4096)
+    pay = (rng.random((4096, 40)) < 0.5).astype(np.int64)
+    counts = rng.permutation(4096).astype(np.int64) + 1
+    tracemalloc.start()
+    try:
+        accel._snap_checkpoint(counts, int(counts.sum()), pay, 0, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 # Values taken from the per-q snapping kernel this batched one replaced.
