@@ -12,6 +12,7 @@ from .families import (
     TraceResult,
     cardinality_bound_family,
     cycle_edges,
+    cycle_rotation,
     family_from_json_dict,
     hereditary_closure,
     is_full_powerset,

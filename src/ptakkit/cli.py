@@ -23,8 +23,10 @@ from fractions import Fraction
 from . import accel
 from .families import (
     GENERATOR_ALGORITHM,
+    HereditaryFamily,
     cardinality_bound_family,
     cycle_edges,
+    cycle_rotation,
     family_from_json_dict,
     maximal_cliques,
     random_family,
@@ -166,7 +168,8 @@ def cmd_gen(args, inputs):
         payload = cardinality_bound_family(args.n, args.k).to_json_dict()
         params = {"n": args.n, "k": args.k}
     elif args.kind == "cycle-cliques":
-        payload = maximal_cliques(args.n, cycle_edges(args.n)).to_json_dict()
+        cliques = maximal_cliques(args.n, cycle_edges(args.n)).maximal
+        payload = HereditaryFamily(args.n, cliques, (cycle_rotation(args.n),)).to_json_dict()
         params = {"n": args.n}
     elif args.kind == "random":
         _at_least("--max-sets", args.max_sets, 1)

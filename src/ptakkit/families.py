@@ -210,11 +210,23 @@ class HereditaryFamily:
     ascending tuple, sorted lexicographically.  Duplicated, nested and empty
     sets are dropped.  Input already in that form is stored as given.  A
     label outside ``0..n-1`` or ``n < 1`` raises ValueError.
+
+    ``automorphisms`` optionally declares label permutations that map the
+    family onto itself, each a sequence whose entry ``l`` is the image of
+    label ``l``; they generate a group the solver may exploit.  Each is
+    checked exactly: a generator that is not a permutation of ``0..n-1``, or
+    that maps some maximal set outside the antichain, raises ValueError
+    naming it.  ``orbits`` are then the label orbits of that group, each
+    ascending, ordered by their least label; with no generators it is None.
+    Two families with the same sets are equal whatever they declare.
     """
 
     n: int
     maximal: tuple[tuple[int, ...], ...]
+    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    orbits: Optional[tuple[tuple[int, ...], ...]] = field(init=False, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -238,9 +250,99 @@ class HereditaryFamily:
         if sets is not self.maximal:
             object.__setattr__(self, "maximal", tuple(sets))
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "orbits", self._check_automorphisms() if self.automorphisms
+                           else None)
+
+    def _check_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Check every generator and return the label orbits they generate.
+
+        The masks are packed once into one ``W``-bit field each, ``W`` a
+        multiple of 64 and at least ``n``, and a generator moves all of them
+        at once (:func:`_moved`); it maps the antichain onto itself exactly
+        when every moved field is a field, since the masks are distinct and
+        a permutation maps distinct sets to distinct sets.  Fields are
+        compared as their words, read at C speed.
+        """
+        n = self.n
+        gens = tuple(tuple(map(index, g)) for g in self.automorphisms)
+        k = -(-n // 64)  # words per field
+        size = 8 * k * len(self.masks)
+        packed = _packed_rows(self.masks, k).tobytes()
+        fields = set(_words_of_fields(packed, k))
+        packed = int.from_bytes(packed, "little")
+        ones = int.from_bytes((b"\1" + bytes(8 * k - 1)) * len(self.masks), "little")
+        labels = list(range(n))
+        for i, g in enumerate(gens):
+            if sorted(g) != labels:
+                raise ValueError(f"automorphisms[{i}] is not a permutation of 0..{n - 1}")
+            moved = _moved(packed, _shifts(g), ones).to_bytes(size, "little")
+            if not fields.issuperset(_words_of_fields(moved, k)):
+                raise ValueError(f"automorphisms[{i}] does not map the maximal sets "
+                                 f"onto themselves")
+        if gens != self.automorphisms:
+            object.__setattr__(self, "automorphisms", gens)
+        # each orbit grows by the images of its labels until it is closed
+        orbit_of, orbits = [None] * n, []
+        for first in range(n):
+            if orbit_of[first] is None:
+                orbit = orbit_of[first] = [first]
+                for label in orbit:
+                    for g in gens:
+                        if orbit_of[g[label]] is None:
+                            orbit_of[g[label]] = orbit
+                            orbit.append(g[label])
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "maximal": [list(s) for s in self.maximal]}
+        out = {"n": self.n, "maximal": [list(s) for s in self.maximal]}
+        if self.automorphisms:
+            out["automorphisms"] = [list(g) for g in self.automorphisms]
+        return out
+
+
+def _words_of_fields(data: bytes, k: int) -> Iterable:
+    """Each ``k``-word field of ``data``: its one word when ``k`` is 1, else
+    the tuple of its words."""
+    words = array("Q", data)
+    return words if k == 1 else zip(*(words[j::k] for j in range(k)))
+
+
+def _shifts(perm: Sequence[int]) -> list[tuple[int, int]]:
+    """A label permutation as masked shifts: each displacement ``d`` it makes,
+    with the mask of the labels ``l`` it sends to ``l + d``."""
+    moving: dict[int, list[int]] = {}
+    for label, image in enumerate(perm):
+        moving.setdefault(image - label, []).append(label)
+    bit = _BIT.__getitem__ if len(perm) <= len(_BIT) else (1).__lshift__
+    return [(d, sum(map(bit, labels))) for d, labels in moving.items()]
+
+
+def _moved(packed: int, shifts: list[tuple[int, int]], ones: int = 1) -> int:
+    """Masks packed one per field, ``ones`` holding bit 0 of each field, with
+    their labels permuted by ``shifts`` (:func:`_shifts`): one masked shift
+    per displacement.  A label and its image both lie below the field width,
+    so no bit crosses into another field."""
+    out = 0
+    for d, labels in shifts:
+        part = packed & labels * ones
+        out |= part << d if d >= 0 else part >> -d
+    return out
+
+
+def mask_orbit(fam: HereditaryFamily, mask: int) -> set[int]:
+    """The masks of a set's images under the group ``fam.automorphisms``
+    generates, the set's own mask included."""
+    shifts = [_shifts(g) for g in fam.automorphisms]
+    orbit, todo = {mask}, [mask]
+    while todo:
+        m = todo.pop()
+        for s in shifts:
+            image = _moved(m, s)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def hereditary_closure(sets: Iterable[ElementSet], n: int) -> HereditaryFamily:
@@ -329,15 +431,22 @@ class FamilySpec:
     edges: Optional[tuple[tuple[int, int], ...]] = None
     system: Optional[object] = None  # IntervalSystem for interval_trace
 
-    KINDS = ("cardinality_bound", "graph_cliques", "graph_independent", "interval_trace")
+    # each kind and the spec fields it reads; any other field is refused
+    KINDS = {"cardinality_bound": ("kind", "n", "k"),
+             "graph_cliques": ("kind", "n", "edges"),
+             "graph_independent": ("kind", "n", "edges"),
+             "interval_trace": ("kind", "system")}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilySpec":
         if not isinstance(d, dict):
             raise ValueError("spec must be a JSON object")
         kind = d.get("kind")
-        if kind not in cls.KINDS:
+        if not isinstance(kind, str) or kind not in cls.KINDS:
             raise ValueError(f"spec field 'kind': unknown kind {kind!r}")
+        for key in d:
+            if key not in cls.KINDS[kind]:
+                raise ValueError(f"spec field {key!r} is not read by kind {kind!r}")
         if kind == "interval_trace":
             from .intervals import IntervalSystem
 
@@ -448,12 +557,19 @@ def maximal_independent_sets(n: int, edges: Sequence[Sequence[int]]) -> Heredita
 
 
 def cardinality_bound_family(n: int, k: int) -> HereditaryFamily:
-    """All subsets of size at most k: maximal sets are the k-subsets."""
+    """All subsets of size at most k: maximal sets are the k-subsets.
+
+    The family declares the rotation of its labels, whose one orbit is the
+    ground set; the whole symmetric group maps it onto itself too, but a
+    set's orbit under it is all C(n, k) sets, and under the rotation at most
+    ``n``.
+    """
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     _check_enumeration(comb(n, k), f"cardinality family C({n}, {k})")
     # combinations come in lexicographic order
-    return HereditaryFamily(n=n, maximal=tuple(combinations(range(n), k)))
+    return HereditaryFamily(n=n, maximal=tuple(combinations(range(n), k)),
+                            automorphisms=(cycle_rotation(n),))
 
 
 def realize(spec: FamilySpec) -> HereditaryFamily:
@@ -477,6 +593,11 @@ def cycle_edges(n: int) -> list[tuple[int, int]]:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return [(i, (i + 1) % n) for i in range(n)]
+
+
+def cycle_rotation(n: int) -> tuple[int, ...]:
+    """The permutation sending each label ``l`` to ``l + 1`` mod ``n``."""
+    return (*range(1, n), 0)
 
 
 def random_family(seed: int, n: Optional[int] = None, max_sets: int = 40) -> HereditaryFamily:
@@ -506,14 +627,23 @@ def random_family(seed: int, n: Optional[int] = None, max_sets: int = 40) -> Her
 
 
 def family_from_json_dict(data: dict) -> HereditaryFamily:
-    """Read the family file format: explicit antichain or generator spec."""
+    """Read the family file format: explicit antichain, with optional
+    automorphisms, or generator spec.  A family field the file's form would
+    not read is refused, not ignored."""
     if not isinstance(data, dict):
         raise ValueError("family file must contain a JSON object")
+    if "spec" in data:
+        for key in ("maximal", "n", "automorphisms"):
+            if key in data:
+                raise ValueError(f"family field {key!r} is not read beside 'spec'")
+        return realize(FamilySpec.from_json_dict(data["spec"]))
     if "maximal" in data:
         if "n" not in data:
             raise ValueError("family field 'n' missing")
         n = _json_int(data["n"], "family field 'n'")
-        return hereditary_closure(_json_int_rows(data["maximal"], "family field 'maximal'"), n)
-    if "spec" in data:
-        return realize(FamilySpec.from_json_dict(data["spec"]))
+        maximal = _json_int_rows(data["maximal"], "family field 'maximal'")
+        gens = _json_int_rows(data.get("automorphisms", []), "family field 'automorphisms'")
+        return HereditaryFamily(n, maximal, gens)
+    if "automorphisms" in data:
+        raise ValueError("family field 'automorphisms' is read only beside 'maximal'")
     raise ValueError("family file needs either 'maximal' or 'spec'")

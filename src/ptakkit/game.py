@@ -19,7 +19,7 @@ from operator import add, index
 from typing import Mapping, Optional
 
 from . import accel
-from .families import _BIG_ENDIAN, HereditaryFamily, _packed_rows
+from .families import _BIG_ENDIAN, HereditaryFamily, _packed_rows, mask_orbit
 from .lp import solve_max_slack
 from .rationals import ONE, ZERO, as_fraction, format_rational, scaled_ints
 
@@ -210,6 +210,19 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     and ``W`` widens until that total is below ``2**W``, so no field ever
     carries into the next.  Fractions are made once, for the certificate of
     the last round.
+
+    The LP has one column per label orbit of ``fam.orbits``, one per label
+    when the family declares no automorphisms.  Averaging an optimal mean
+    over the group keeps it optimal, so some optimal mean is constant on
+    each orbit ``O``, with weight ``x_O`` on each of its labels.  Then set
+    F's row is ``|O| + |F & O|`` over the orbits and the cost row is
+    ``|O|``; with singleton orbits these are the rows ``1 + [l in F]`` and
+    the costs 1 of the LP on labels, entry for entry.  Pricing gets the
+    orbit-constant mean, expanded to labels.  The LP's dual weighs the sets
+    of its rows; each weight is spread evenly over its set's orbit under the
+    group (:func:`mask_orbit`), which averages the dual over the group and
+    keeps its value.  :func:`verify_certificate` checks the result on the
+    whole family, so the declared symmetry only proposes.
     """
     n = fam.n
     m = len(fam.maximal)
@@ -227,25 +240,35 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
     sizes = list(map(len, sets))
     idx = sizes.index(max(sizes))
     active, A = [], []
-    # the LP has a column per label: made before the pricing fields, which
+    # the LP's cost row and each label's column, a column per label when the
+    # family declares no automorphisms: made before the pricing fields, which
     # are filled a word of labels at a time, so a ground set too large for
     # memory fails at once
-    ones_n = [1] * n
+    orbits = fam.orbits
+    if orbits is None:
+        cost, column = [1] * n, range(n)
+    else:
+        cost, column = list(map(len, orbits)), [0] * n
+        for j, orbit in enumerate(orbits):
+            for label in orbit:
+                column[label] = j
     pricing = _PackedWeights(fam)
     pivots, res = 0, None
 
     while True:
         active.append(idx)
-        row = [1] * n
+        row = cost.copy()
         for s in sets[idx]:
-            row[s] = 2
+            row[column[s]] += 1
         A.append(row)
-        res = solve_max_slack(ones_n, A, [1] * len(active), after=res)
+        res = solve_max_slack(cost, A, [1] * len(active), after=res)
         pivots += res.pivots
         # the mean x / sum(x) is nums / total; delta = 1/sum(x) - 1.  Taking
         # x = x_num / den to lowest common terms keeps the pricing fields narrow
         g = gcd(res.den, *res.x_num)
         nums, den = [v // g for v in res.x_num], res.den // g
+        if orbits is not None:  # each label carries its orbit's weight
+            nums = [nums[j] for j in column]
         total = sum(nums)
 
         # the heaviest set, lowest index on ties, is violated when it weighs
@@ -255,11 +278,27 @@ def delta_exact(fam: HereditaryFamily) -> GameValueResult:
         if worst <= den - total:
             # mu = duals / objective, where objective = 1/(delta+1) > 0; the
             # duals and the objective share the denominator den
-            mu = {i: Fraction(y, res.obj_num) for i, y in zip(active, res.dual_num)}
+            mu = {i: Fraction(y, res.obj_num) for i, y in zip(active, res.dual_num) if y}
+            if orbits is not None:
+                mu = _spread(fam, mu)
             primal = ConvexMean({s: Fraction(v, total) for s, v in enumerate(nums) if v})
             dual = FractionalCover(mu)
             return GameValueResult(delta=Fraction(den - total, total), primal=primal,
                                    dual=dual, pivots=pivots)
+
+
+def _spread(fam: HereditaryFamily, mu: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Each set's weight shared evenly among the sets of its orbit under the
+    family's automorphisms."""
+    index_of = dict(zip(fam.masks, range(len(fam.masks))))
+    out: dict[int, Fraction] = {}
+    for i, w in mu.items():
+        orbit = mask_orbit(fam, fam.masks[i])
+        share = w / len(orbit)
+        for mask in orbit:
+            j = index_of[mask]
+            out[j] = out.get(j, ZERO) + share
+    return out
 
 
 @dataclass(frozen=True)

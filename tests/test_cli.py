@@ -58,6 +58,19 @@ def test_gen_cycle_cliques(tmp_path, capsys):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["maximal"] == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
+    assert data["automorphisms"] == [[1, 2, 3, 4, 0]]
+
+
+def test_delta_of_a_cardinality_file_solves_over_its_one_orbit(tmp_path, capsys):
+    """gen writes C(14, 7)'s rotation: the LP has one column and makes one
+    pivot, and the dual spreads its one row over the row's 14 rotations."""
+    fam = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "cardinality", "--n", "14", "--k", "7", "--out", str(fam))
+    assert json.loads(fam.read_text())["automorphisms"] == [[*range(1, 14), 0]]
+    rc, out, _ = run(capsys, "delta", "--family", str(fam))
+    rep = report_of(out)
+    assert rc == 0 and rep["verified"] and rep["delta"] == "1/2" and rep["pivots"] == 1
+    assert len(rep["certificate"]["dual"]) == 14
 
 
 def test_gen_intervals_deterministic(tmp_path, capsys):
@@ -397,6 +410,33 @@ def test_non_integer_family_field_exit_2(tmp_path, capsys, payload, field):
     assert field in err and "integer" in err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [[1, 0]]}, "automorphisms[0]"),
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [[1, 1, 2]]}, "automorphisms[0]"),
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [[0, 1, 2], [1, 2, 0]]}, "automorphisms[1]"),
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [[1, "0", 2]]}, "'automorphisms'"),
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [1, 0, 2]}, "'automorphisms'"),
+    ({"n": 3, "automorphisms": [[1, 0, 2]]}, "'automorphisms'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 3, "k": 2}, "automorphisms": [[1, 2, 0]]},
+     "'automorphisms'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 3, "k": 2, "automorphisms": [[1, 2, 0]]}},
+     "'automorphisms'"),
+    ({"n": 3, "maximal": [[0, 1]], "spec": {"kind": "cardinality_bound", "n": 3, "k": 2}},
+     "'maximal'"),
+    ({"spec": {"kind": "graph_cliques", "n": 3, "edges": [[0, 1]], "k": 2}}, "'k'"),
+    ({"spec": {"kind": "graph_independent", "n": 3, "k": 2}}, "'k'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 3, "k": 2, "edges": [[0, 1]]}}, "'edges'"),
+])
+def test_family_field_that_would_be_ignored_or_is_no_automorphism_exit_2(
+        tmp_path, capsys, payload, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("delta", "search", "oracle"):
+        rc, out, err = run(capsys, command, "--family", str(bad))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"ptakkit {command}: {bad}: ") and field in err
+
+
 @pytest.mark.parametrize("coord", [0.5, "1/0"])
 def test_bad_rational_in_vector_exit_2(family_file, tmp_path, capsys, coord):
     vec = tmp_path / "vec.json"
@@ -570,9 +610,10 @@ def test_billion_label_family_in_1_gb_of_address_space(tmp_path):
 
 # --- every input file format, fuzzed ---------------------------------------------------
 # Each document is drawn well formed for a ground set of n <= 8 labels (at most
-# 12 sets), with a bad rational now and then.  Three in seven are kept as they
-# are; the others lose a key, get a value of the wrong type, or are replaced by
-# arbitrary JSON or by arbitrary bytes.
+# 12 sets), with a bad rational now and then; an explicit family sometimes
+# declares generators, which need not map its sets onto themselves.  Three in
+# seven are kept as they are; the others lose a key, get a value of the wrong
+# type, or are replaced by arbitrary JSON or by arbitrary bytes.
 
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=6),
@@ -620,7 +661,10 @@ def family(n):
                                "n": st.just(n), "edges": edges}),
         st.fixed_dictionaries({"kind": st.just("interval_trace"), "system": system(n)}),
     )
-    return (st.fixed_dictionaries({"n": st.just(n), "maximal": sets})
+    # a generator is a permutation, or the identity, which every family keeps
+    generator = st.permutations(range(n)) | st.just(list(range(n)))
+    return (st.fixed_dictionaries({"n": st.just(n), "maximal": sets},
+                                  optional={"automorphisms": st.lists(generator, max_size=2)})
             | st.fixed_dictionaries({"spec": spec}))
 
 

@@ -16,6 +16,7 @@ from ptakkit.families import (
     HereditaryFamily,
     cardinality_bound_family,
     cycle_edges,
+    cycle_rotation,
     family_from_json_dict,
     hereditary_closure,
     is_full_powerset,
@@ -677,6 +678,125 @@ def test_json_round_trip():
         family_from_json_dict({"n": 3})
     with pytest.raises(ValueError):
         family_from_json_dict({"maximal": [[0]]})
+
+
+def test_json_round_trip_keeps_automorphisms():
+    fam = cardinality_bound_family(4, 2)
+    data = json.loads(json.dumps(fam.to_json_dict()))
+    assert data["automorphisms"] == [[1, 2, 3, 0]]
+    back = family_from_json_dict(data)
+    assert back == fam and back.automorphisms == fam.automorphisms
+    assert back.orbits == ((0, 1, 2, 3),)
+    # no field when there is no generator
+    assert "automorphisms" not in hereditary_closure([{0}], 1).to_json_dict()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2, "maximal": [[0]], "spec": {"kind": "cardinality_bound", "n": 2, "k": 1}},
+     "family field 'maximal' is not read beside 'spec'"),
+    ({"n": 2, "spec": {"kind": "cardinality_bound", "n": 2, "k": 1}},
+     "family field 'n' is not read beside 'spec'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 2, "k": 1}, "automorphisms": [[1, 0]]},
+     "family field 'automorphisms' is not read beside 'spec'"),
+    ({"n": 2, "automorphisms": [[1, 0]]},
+     "family field 'automorphisms' is read only beside 'maximal'"),
+    ({"spec": {"kind": "graph_cliques", "n": 3, "k": 2}},
+     "spec field 'k' is not read by kind 'graph_cliques'"),
+    ({"spec": {"kind": "graph_independent", "n": 3, "edges": [], "k": 2}},
+     "spec field 'k' is not read by kind 'graph_independent'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 3, "k": 2, "edges": [[0, 1]]}},
+     "spec field 'edges' is not read by kind 'cardinality_bound'"),
+    ({"spec": {"kind": "cardinality_bound", "n": 3, "k": 2, "automorphisms": [[1, 2, 0]]}},
+     "spec field 'automorphisms' is not read by kind 'cardinality_bound'"),
+    ({"spec": {"kind": "interval_trace", "n": 1, "system": {"sets": [[["0", "1"]]]}}},
+     "spec field 'n' is not read by kind 'interval_trace'"),
+    ({"n": 3, "maximal": [[0, 1]], "automorphisms": [[1, 0, 2.0]]},
+     "family field 'automorphisms'[0] entry must be an integer, got 2.0"),
+])
+def test_family_files_refuse_fields_they_would_ignore(data, message):
+    with pytest.raises(ValueError) as exc:
+        family_from_json_dict(data)
+    assert str(exc.value) == message
+
+
+# --- automorphisms ----------------------------------------------------------------
+
+def test_automorphisms_give_label_orbits_and_leave_equality_alone():
+    edges = cycle_edges(6)  # the maximal cliques of C6 are its edges
+    reflection = (0, 5, 4, 3, 2, 1)
+    fam = HereditaryFamily(6, edges, automorphisms=[reflection])
+    assert fam.orbits == ((0,), (1, 5), (2, 4), (3,))
+    assert HereditaryFamily(6, edges, automorphisms=[reflection, cycle_rotation(6)]).orbits \
+        == (tuple(range(6)),)
+    assert HereditaryFamily(6, edges, automorphisms=[range(6)]).orbits == tuple(
+        (label,) for label in range(6))
+    plain = HereditaryFamily(6, edges)
+    assert plain.orbits is None and plain.automorphisms == ()
+    assert fam == plain and hash(fam) == hash(plain)
+    # generators are stored as tuples of ints; trace declares none
+    assert fam.automorphisms == (reflection,)
+    assert trace(fam, range(6)).family.automorphisms == ()
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([(1, 2, 3, 4, 0), (0, 1, 2, 3, 3)], "automorphisms[1] is not a permutation of 0..4"),
+    ([(1, 2, 3, 0)], "automorphisms[0] is not a permutation of 0..4"),
+    ([(1, 2, 3, 4, 0, 5)], "automorphisms[0] is not a permutation of 0..4"),
+    ([(1, 2, 3, 4, -1)], "automorphisms[0] is not a permutation of 0..4"),
+    ([(1, 0, 2, 3, 4)], "automorphisms[0] does not map the maximal sets onto themselves"),
+    ([(4, 3, 2, 1, 0), (0, 2, 4, 1, 3)],
+     "automorphisms[1] does not map the maximal sets onto themselves"),
+])
+def test_automorphisms_that_are_no_automorphisms_are_refused(gens, message):
+    with pytest.raises(ValueError) as exc:
+        HereditaryFamily(5, cycle_edges(5), automorphisms=gens)
+    assert str(exc.value) == message
+
+
+def small_order_permutation(rng, n):
+    """A random permutation of 0..n-1 whose cycles have at most 4 labels, so
+    that it has order at most 12."""
+    labels, g = rng.sample(range(n), n), list(range(n))
+    while labels:
+        size = rng.randint(1, 4)
+        cycle, labels = labels[:size], labels[size:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            g[a] = b
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 65, 130])
+def test_automorphism_check_matches_mapping_every_set(n):
+    """Families closed under a random permutation g accept it, with g's cycles
+    as orbits; another permutation is accepted exactly when it maps the
+    antichain onto itself, set by set."""
+    rng = random.Random(n)
+    for _ in range(10):
+        g = small_order_permutation(rng, n)
+        sets = set()
+        for _ in range(rng.randint(1, 6)):
+            s = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            while s not in sets:
+                sets.add(s)
+                s = frozenset(g[label] for label in s)
+        fam = HereditaryFamily(n, sets, automorphisms=[g])
+        cycles = set()
+        for label in range(n):
+            cycle, image = {label}, g[label]
+            while image != label:
+                cycle.add(image)
+                image = g[image]
+            cycles.add(tuple(sorted(cycle)))
+        assert fam.orbits == tuple(sorted(cycles))
+        for h in (small_order_permutation(rng, n), g[::-1], list(range(n))):
+            maps = {tuple(sorted(h[label] for label in s)) for s in fam.maximal} \
+                == set(fam.maximal)
+            try:
+                HereditaryFamily(n, fam.maximal, automorphisms=[h])
+            except ValueError as exc:
+                assert not maps and "does not map" in str(exc)
+            else:
+                assert maps
 
 
 def test_random_family_deterministic():
